@@ -11,7 +11,9 @@
 use crate::error::{AmbitError, Result};
 use crate::program::{program_for, Loc, MicroOp, RowInst, RowSlot};
 use crate::rows::{SpecialRow, SubarrayLayout};
-use pim_dram::{BankId, Command, CommandCounts, Cycle, Device, DramAddr, DramSpec, RowId};
+use pim_dram::{
+    BankId, Command, CommandCounts, Cycle, Device, DramAddr, DramSpec, Observer, Projection, RowId,
+};
 use pim_energy::{DramEnergyModel, EnergyBreakdown};
 use pim_workloads::{BitVec, BitwisePlan, BulkOp, PlanStep, Reg};
 use std::fmt;
@@ -167,20 +169,16 @@ impl fmt::Display for ExecReport {
 
 /// How the engine shards a site list on the parallel path.
 ///
-/// The default two-level mode is the fastest and the other two exist as
-/// explicit comparison points: the determinism suites pin all three modes
-/// byte-identical, and the scaling benches ablate one-level against
-/// two-level parallel efficiency.
+/// The determinism suites pin both modes byte-identical, and the scaling
+/// bench measures sharded against sequential replay.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ShardMode {
     /// Two-level channel → bank fork (the default): one channel shard per
     /// touched channel, banks forked from the channel shard under a nested
-    /// rayon scope.
+    /// rayon scope; with one channel touched, banks fork straight off the
+    /// device.
     #[default]
     ChannelBank,
-    /// One-level bank fork off the parent device regardless of how many
-    /// channels the sites touch — the pre-channel-domain behavior.
-    BankOnly,
     /// Sequential replay on the main device even when worker threads are
     /// available.
     Sequential,
@@ -286,23 +284,6 @@ struct SiteCmd {
     cmd: Command,
     /// Rows to perturb after issue when fault injection is enabled.
     fault_rows: FaultRows,
-}
-
-/// The bank whose timing chain `cmd` occupies. Only meaningful for
-/// bank-local commands (all the engine emits); rank-scoped commands map to
-/// bank 0 of their rank and must not be sharded.
-#[cfg(feature = "parallel")]
-fn command_bank(cmd: &Command) -> BankId {
-    match *cmd {
-        Command::Aap { src, .. } => src.bank_id(),
-        Command::Tra { bank, .. } | Command::TraAap { bank, .. } => bank,
-        Command::Act(r) | Command::Ap(r) => r.bank_id(),
-        Command::Pre(b) => b,
-        Command::Rd(a) | Command::RdA(a) | Command::Wr(a) | Command::WrA(a) => a.row_id().bank_id(),
-        Command::PreAll { channel, rank } | Command::Ref { channel, rank } => {
-            BankId::new(channel, rank, 0)
-        }
-    }
 }
 
 /// Linear-scan `(bank, free-at)` table for the serial-copy paths. The
@@ -555,7 +536,7 @@ impl AmbitSystem {
         // Engine-level telemetry is recorded here, on the parent device
         // and before any bank sharding, so sequential and parallel runs
         // observe identical streams in identical order.
-        if let Some(tel) = self.device.telemetry_mut() {
+        if let Some(tel) = self.device.observer_mut().and_then(Observer::telemetry) {
             tel.count("ambit.ops", 0, 1);
             tel.count("ambit.sites", 0, sites.len() as u64);
             tel.observe(
@@ -618,7 +599,7 @@ impl AmbitSystem {
         let mut banks: Vec<BankId> = Vec::new();
         let mut groups: Vec<Vec<SiteCmd>> = Vec::new();
         for &s in sites {
-            let b = command_bank(&s.cmd);
+            let b = s.cmd.bank().expect("the engine issues bank-local commands");
             match banks.iter().position(|&x| x == b) {
                 Some(i) => groups[i].push(s),
                 None => {
@@ -639,9 +620,8 @@ impl AmbitSystem {
                 chans.push(b.channel);
             }
         }
-        if chans.len() == 1 || self.shard_mode == ShardMode::BankOnly {
-            // One channel touched (or one-level mode forced): bank-fork
-            // straight off the parent.
+        if chans.len() == 1 {
+            // One channel touched: bank-fork straight off the parent.
             let pairs: BankGroups = banks.into_iter().zip(groups).collect();
             let (end, faults, chunk_time) =
                 run_bank_groups(&mut self.device, pairs, start, n_chunks, rate, seed)?;
@@ -780,16 +760,6 @@ impl AmbitSystem {
         self.energy.energy_of(counts, 0, 0)
     }
 
-    /// Enables or disables command-trace capture on the underlying device.
-    ///
-    /// With capture on, every AAP/AP/TRA the engine issues is recorded —
-    /// including on the bank-sharded parallel path, where per-bank shard
-    /// traces are merged back bank-major on join (normalize before
-    /// comparing; `pim-check`'s `Trace::capture` does this).
-    pub fn set_trace(&mut self, enabled: bool) {
-        self.device.set_trace(enabled);
-    }
-
     /// Enables or disables the batched-run issue fast path (on by
     /// default); per-command issue remains available for byte-for-byte
     /// equivalence checks.
@@ -823,7 +793,7 @@ impl AmbitSystem {
     }
 
     /// Selects the parallel-path sharding strategy (default:
-    /// [`ShardMode::ChannelBank`]). All modes are bit-identical in every
+    /// [`ShardMode::ChannelBank`]). Both modes are bit-identical in every
     /// observable — data, reports, traces, telemetry, fault patterns —
     /// and differ only in wall-clock scaling; the determinism suites pin
     /// this.
@@ -831,60 +801,39 @@ impl AmbitSystem {
         self.shard_mode = mode;
     }
 
-    /// The current parallel-path sharding strategy.
-    pub fn shard_mode(&self) -> ShardMode {
-        self.shard_mode
+    /// Switches one projection of command observation on or off on the
+    /// underlying device (see [`Observer`]).
+    ///
+    /// Every AAP/AP/TRA the engine issues is observed — including on the
+    /// sharded parallel path, where shard observers are absorbed back
+    /// shard-major on join and the projections normalize at export, so
+    /// trace, telemetry and profile are byte-identical at any thread count
+    /// and in any [`ShardMode`]. With telemetry on, the engine adds its
+    /// operation, site and chunk-width series to the device's.
+    pub fn observe(&mut self, projection: Projection, enabled: bool) {
+        self.device.observe(projection, enabled);
+    }
+
+    /// The device's live observer, `None` while every projection is off:
+    /// take projections from it, or record series next to the engine's
+    /// through [`Observer::telemetry`].
+    pub fn observer_mut(&mut self) -> Option<&mut Observer> {
+        self.device.observer_mut()
+    }
+
+    /// Enables or disables command-trace capture: [`AmbitSystem::observe`]
+    /// with [`Projection::Trace`].
+    pub fn set_trace(&mut self, enabled: bool) {
+        self.observe(Projection::Trace, enabled);
     }
 
     /// Takes the captured command trace (empty when capture is disabled).
+    /// Records are in capture order; normalize before comparing
+    /// (`pim-check`'s `Trace::capture` does this).
     pub fn take_trace(&mut self) -> Vec<pim_dram::TraceRecord> {
-        self.device.take_trace()
-    }
-
-    /// Enables or disables telemetry capture: the device's per-bank
-    /// command counters plus the engine's operation, site, and
-    /// chunk-width series. Bank-sharded parallel runs shard the sink
-    /// with the device and merge it back commutatively, so the
-    /// registry is identical at any thread count.
-    pub fn set_telemetry(&mut self, enabled: bool) {
-        self.device.set_telemetry(enabled);
-    }
-
-    /// `true` if telemetry capture is on.
-    pub fn telemetry_enabled(&self) -> bool {
-        self.device.telemetry_enabled()
-    }
-
-    /// Takes the captured telemetry (`None` when disabled).
-    pub fn take_telemetry(&mut self) -> Option<pim_telemetry::TelemetrySink> {
-        self.device.take_telemetry()
-    }
-
-    /// Mutable access to the live telemetry sink (`None` when
-    /// disabled) — how the runtime's Ambit backend records coalescing
-    /// metrics next to the engine's own series.
-    pub fn telemetry_mut(&mut self) -> Option<&mut pim_telemetry::TelemetrySink> {
-        self.device.telemetry_mut()
-    }
-
-    /// Enables or disables profiling capture: one occupancy slice per
-    /// issued command on its bank/rank/channel lane, spanning issue to
-    /// completion on the engine clock. Sharded parallel runs fork the
-    /// sink with the device and absorb it back on join; consumers
-    /// normalize at export, so the timeline is byte-identical at any
-    /// thread count and [`ShardMode`].
-    pub fn set_profile(&mut self, enabled: bool) {
-        self.device.set_profile(enabled);
-    }
-
-    /// `true` if profiling capture is on.
-    pub fn profile_enabled(&self) -> bool {
-        self.device.profile_enabled()
-    }
-
-    /// Takes the captured profile events (`None` when disabled).
-    pub fn take_profile(&mut self) -> Option<pim_profile::ProfileSink> {
-        self.device.take_profile()
+        self.observer_mut()
+            .map(Observer::take_trace)
+            .unwrap_or_default()
     }
 
     /// Bits held by one DRAM row (the chunk granularity).
@@ -900,24 +849,10 @@ impl AmbitSystem {
     ///
     /// # Errors
     ///
-    /// [`AmbitError::OutOfRows`] when a subarray's data rows are exhausted.
+    /// [`AmbitError::OutOfRows`] when a subarray's data rows are exhausted;
+    /// the rows already taken for earlier chunks are given back.
     pub fn alloc(&mut self, len_bits: usize) -> Result<BulkVec> {
-        let org = self.device.spec().org;
-        let row_bits = self.row_bits();
-        let n_chunks = len_bits.div_ceil(row_bits).max(1);
-        let total_banks = (org.channels * org.ranks * org.banks) as usize;
-        let mut rows = Vec::with_capacity(n_chunks);
-        for c in 0..n_chunks {
-            let bank_flat = c % total_banks;
-            let sa = (c / total_banks) as u32 % org.subarrays;
-            let ch = (bank_flat as u32) / (org.ranks * org.banks);
-            let ra = ((bank_flat as u32) / org.banks) % org.ranks;
-            let ba = (bank_flat as u32) % org.banks;
-            let arena = self.arena_index(ch, ra, ba, sa);
-            let row = self.take_data_row(arena, sa)?;
-            rows.push(RowId::new(ch, ra, ba, row));
-        }
-        Ok(BulkVec { len_bits, rows })
+        self.alloc_shifted(len_bits, 0)
     }
 
     /// Like [`AmbitSystem::alloc`] but placed `subarray_shift` subarrays
@@ -927,13 +862,16 @@ impl AmbitSystem {
     ///
     /// # Errors
     ///
-    /// [`AmbitError::OutOfRows`] when a subarray's data rows are exhausted.
+    /// [`AmbitError::OutOfRows`] when a subarray's data rows are exhausted;
+    /// the rows already taken for earlier chunks are given back.
     pub fn alloc_shifted(&mut self, len_bits: usize, subarray_shift: u32) -> Result<BulkVec> {
         let org = self.device.spec().org;
-        let row_bits = self.row_bits();
-        let n_chunks = len_bits.div_ceil(row_bits).max(1);
-        let total_banks = (org.channels * org.ranks * org.banks) as usize;
-        let mut rows = Vec::with_capacity(n_chunks);
+        let n_chunks = len_bits.div_ceil(self.row_bits()).max(1);
+        let total_banks = org.total_banks() as usize;
+        let mut vec = BulkVec {
+            len_bits,
+            rows: Vec::with_capacity(n_chunks),
+        };
         for c in 0..n_chunks {
             let bank_flat = c % total_banks;
             let sa = ((c / total_banks) as u32 + subarray_shift) % org.subarrays;
@@ -941,10 +879,15 @@ impl AmbitSystem {
             let ra = ((bank_flat as u32) / org.banks) % org.ranks;
             let ba = (bank_flat as u32) % org.banks;
             let arena = self.arena_index(ch, ra, ba, sa);
-            let row = self.take_data_row(arena, sa)?;
-            rows.push(RowId::new(ch, ra, ba, row));
+            match self.take_data_row(arena, sa) {
+                Ok(row) => vec.rows.push(RowId::new(ch, ra, ba, row)),
+                Err(e) => {
+                    self.free(vec);
+                    return Err(e);
+                }
+            }
         }
-        Ok(BulkVec { len_bits, rows })
+        Ok(vec)
     }
 
     fn arena_index(&self, ch: u32, ra: u32, ba: u32, sa: u32) -> usize {

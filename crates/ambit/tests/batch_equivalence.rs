@@ -9,6 +9,7 @@
 #![cfg(feature = "parallel")]
 
 use pim_ambit::{AmbitConfig, AmbitSystem, ExecReport};
+use pim_dram::{Observer, Projection};
 use pim_telemetry::Snapshot;
 use pim_workloads::{BitVec, BulkOp};
 use proptest::prelude::*;
@@ -39,7 +40,7 @@ fn run_program(batch: bool, banks: usize, program: &[u8], seed: u64) -> RunResul
     let mut sys = AmbitSystem::new(AmbitConfig::ddr3());
     sys.set_batch_issue(batch);
     sys.set_trace(true);
-    sys.set_telemetry(true);
+    sys.observe(Projection::Telemetry, true);
     let bits = sys.row_bits() * banks;
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
     let a = sys.alloc(bits).expect("alloc a");
@@ -66,12 +67,12 @@ fn run_program(batch: bool, banks: usize, program: &[u8], seed: u64) -> RunResul
     }
     let spec = sys.spec().clone();
     let batched = sys.batched_commands();
+    let sink = sys.observer_mut().and_then(Observer::take_telemetry);
     RunResult {
         outs,
         reports,
         trace: sys.take_trace(),
-        telemetry: Snapshot::from_sink(sys.take_telemetry().expect("telemetry on"))
-            .to_json_string(),
+        telemetry: Snapshot::from_sink(sink.expect("telemetry on")).to_json_string(),
         spec,
         batched,
     }

@@ -1,7 +1,7 @@
 //! Multi-channel determinism: arbitrary Ambit programs on a 2-channel,
 //! 2-rank device must produce byte-identical data, normalized trace
-//! bytes, and telemetry snapshots whether the engine runs sequentially,
-//! bank-sharded only, or channel-then-bank sharded — at 1, 4, or 8
+//! bytes, and telemetry snapshots whether the engine runs sequentially
+//! or channel-then-bank sharded — at 1, 4, or 8
 //! worker threads. This is the determinism contract behind
 //! `Device::fork_channel`/`join_channel` and the engine's two-level
 //! fork.
@@ -9,7 +9,7 @@
 #![cfg(feature = "parallel")]
 
 use pim_ambit::{AmbitConfig, AmbitSystem, ShardMode};
-use pim_dram::DramSpec;
+use pim_dram::{DramSpec, Observer, Projection};
 use pim_telemetry::Snapshot;
 use pim_workloads::{BitVec, BulkOp};
 use proptest::prelude::*;
@@ -79,7 +79,7 @@ fn run_program(
     let mut sys = AmbitSystem::new(two_channel_config(rate));
     sys.set_shard_mode(mode);
     sys.set_trace(true);
-    sys.set_telemetry(true);
+    sys.observe(Projection::Telemetry, true);
     let bits = sys.row_bits() * banks;
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
     let a = sys.alloc(bits).expect("alloc a");
@@ -96,8 +96,8 @@ fn run_program(
     }
     let spec = sys.spec().clone();
     let trace = pim_check::Trace::capture(spec, sys.take_trace()).to_bytes();
-    let telemetry =
-        Snapshot::from_sink(sys.take_telemetry().expect("telemetry on")).to_json_string();
+    let sink = sys.observer_mut().and_then(Observer::take_telemetry);
+    let telemetry = Snapshot::from_sink(sink.expect("telemetry on")).to_json_string();
     RunFingerprint {
         outs,
         trace,
@@ -109,8 +109,8 @@ fn run_program(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// The tentpole invariant: sequential, bank-sharded, and
-    /// channel-sharded execution of the same multi-channel program are
+    /// The tentpole invariant: sequential and channel-sharded execution
+    /// of the same multi-channel program are
     /// indistinguishable in every observable, at every thread count.
     #[test]
     fn shard_modes_and_thread_counts_are_byte_identical(
@@ -124,7 +124,7 @@ proptest! {
             pim_check::CheckOptions::timing_only(),
         )
         .expect("oracle accepts the sequential multi-channel trace");
-        for mode in [ShardMode::Sequential, ShardMode::BankOnly, ShardMode::ChannelBank] {
+        for mode in [ShardMode::Sequential, ShardMode::ChannelBank] {
             for threads in [1usize, 4, 8] {
                 let run = with_threads(threads, || run_program(mode, banks, &program, seed, 0.0));
                 prop_assert_eq!(&run.outs, &base.outs, "outputs: {:?} @ {}", mode, threads);
@@ -147,11 +147,11 @@ fn fault_injection_is_shard_mode_invariant() {
         run_program(ShardMode::Sequential, 32, &program, 7, 0.01)
     });
     assert!(base.faults > 0, "fault injection must fire");
-    for mode in [ShardMode::BankOnly, ShardMode::ChannelBank] {
-        for threads in [4usize, 8] {
-            let run = with_threads(threads, || run_program(mode, 32, &program, 7, 0.01));
-            assert_eq!(run.outs, base.outs, "{mode:?} @ {threads}");
-            assert_eq!(run.faults, base.faults, "{mode:?} @ {threads}");
-        }
+    for threads in [4usize, 8] {
+        let run = with_threads(threads, || {
+            run_program(ShardMode::ChannelBank, 32, &program, 7, 0.01)
+        });
+        assert_eq!(run.outs, base.outs, "ChannelBank @ {threads}");
+        assert_eq!(run.faults, base.faults, "ChannelBank @ {threads}");
     }
 }

@@ -6,6 +6,7 @@
 //! commutative counter addition, so the fork/join must be invisible.
 
 use pim_ambit::{AmbitConfig, AmbitSystem};
+use pim_dram::{Observer, Projection};
 use pim_telemetry::Snapshot;
 use pim_workloads::{BitVec, BulkOp};
 use proptest::prelude::*;
@@ -25,7 +26,7 @@ const OPS: [BulkOp; 5] = [
 /// both whole-row and sub-row widths appear in the histograms.
 fn run_programs(descr: &[(u8, u8, u16)], seed: u64) -> String {
     let mut sys = AmbitSystem::new(AmbitConfig::ddr3());
-    sys.set_telemetry(true);
+    sys.observe(Projection::Telemetry, true);
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
     for &(op, banks, fill) in descr {
         let op = OPS[op as usize % OPS.len()];
@@ -47,7 +48,10 @@ fn run_programs(descr: &[(u8, u8, u16)], seed: u64) -> String {
         }
         sys.free(dst);
     }
-    let sink = sys.take_telemetry().expect("telemetry is enabled");
+    let sink = sys
+        .observer_mut()
+        .and_then(Observer::take_telemetry)
+        .expect("telemetry is enabled");
     Snapshot::from_sink(sink).to_json_string()
 }
 

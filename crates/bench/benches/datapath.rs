@@ -9,7 +9,7 @@
 //! `results/BENCH_datapath.json`, which E-series tooling and CI pick up.
 
 use criterion::{criterion_group, BenchmarkId, Criterion, Throughput};
-use pim_dram::{Command, DataStore, Device, DramSpec, RowId};
+use pim_dram::{Command, DataStore, Device, DramSpec, Projection, RowId};
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
@@ -265,15 +265,14 @@ fn bench_datapath(c: &mut Criterion) {
 }
 
 // ---------------------------------------------------------------------------
-// Telemetry/profiling zero-overhead gate: the device's command-issue hot
-// loop with both sinks disabled must run at least as fast as with either
-// enabled — disabling a sink recovers its full capture cost, so both
-// plumbings are pay-for-use.
+// Observer zero-overhead gate: the device's command-issue hot loop with the
+// observer off must run at least as fast as with it on — disabling
+// observation recovers its full capture cost, so it is pay-for-use.
 // ---------------------------------------------------------------------------
 
 /// A cross-bank AAP run (the engine's steady-state shape). AAP leaves the
 /// bank precharged, so the same run stays legal indefinitely.
-fn telemetry_gate_run(banks: u32) -> (Vec<Command>, Vec<u64>) {
+fn observer_gate_run(banks: u32) -> (Vec<Command>, Vec<u64>) {
     let cmds: Vec<Command> = (0..banks)
         .map(|bank| Command::Aap {
             src: RowId::new(0, 0, bank, 0),
@@ -285,10 +284,16 @@ fn telemetry_gate_run(banks: u32) -> (Vec<Command>, Vec<u64>) {
     (cmds, not_before)
 }
 
-fn telemetry_gate_device(telemetry: bool, profile: bool) -> Device {
+/// A device with every projection of the observer on, or none.
+fn observer_gate_device(observe: bool) -> Device {
     let mut dev = Device::new(DramSpec::ddr3_1600());
-    dev.set_telemetry(telemetry);
-    dev.set_profile(profile);
+    for projection in [
+        Projection::Trace,
+        Projection::Telemetry,
+        Projection::Profile,
+    ] {
+        dev.observe(projection, observe);
+    }
     let pattern: Vec<u64> = (0..ROW_WORDS)
         .map(|i| (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
         .collect();
@@ -298,18 +303,17 @@ fn telemetry_gate_device(telemetry: bool, profile: bool) -> Device {
     dev
 }
 
-fn bench_telemetry_gate(c: &mut Criterion) {
+fn bench_observer_gate(c: &mut Criterion) {
     let banks = DramSpec::ddr3_1600().org.banks;
-    let (cmds, not_before) = telemetry_gate_run(banks);
-    let mut group = c.benchmark_group("telemetry_gate");
+    let (cmds, not_before) = observer_gate_run(banks);
+    let mut group = c.benchmark_group("observer_gate");
     group.throughput(Throughput::Elements(cmds.len() as u64));
-    for (label, telemetry, profile) in [
-        ("issue_run_sinks_off", false, false),
-        ("issue_run_telemetry_on", true, false),
-        ("issue_run_profile_on", false, true),
+    for (label, observe) in [
+        ("issue_run_observer_off", false),
+        ("issue_run_observer_on", true),
     ] {
         group.bench_function(label, |b| {
-            let mut dev = telemetry_gate_device(telemetry, profile);
+            let mut dev = observer_gate_device(observe);
             let mut done = Vec::new();
             b.iter(|| {
                 dev.issue_run(&cmds, &not_before, &mut done)
@@ -320,7 +324,7 @@ fn bench_telemetry_gate(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_datapath, bench_telemetry_gate);
+criterion_group!(benches, bench_datapath, bench_observer_gate);
 
 // ---------------------------------------------------------------------------
 // JSON emission (machine-readable words/s, used by EXPERIMENTS.md and CI).
@@ -428,42 +432,39 @@ fn geomean_speedup(records: &[OpRecord]) -> f64 {
     (ln_sum / records.len() as f64).exp()
 }
 
-/// Wall-clock sink-overhead probe: batched issue loop with both sinks
-/// disabled vs telemetry enabled vs profiling enabled, in commands/s.
-struct TelemetryGate {
+/// Wall-clock observation-overhead probe: the batched issue loop with the
+/// observer off vs on, in commands/s.
+struct ObserverGate {
     off_cmds_per_sec: f64,
     on_cmds_per_sec: f64,
-    profile_on_cmds_per_sec: f64,
 }
 
-impl TelemetryGate {
-    /// Disabling a sink must recover its full capture cost: off-rate at
-    /// least matches each enabled rate, modulo 5% wall-clock noise.
+impl ObserverGate {
+    /// Disabling the observer must recover its full capture cost: the
+    /// off-rate at least matches the on-rate, modulo 5% wall-clock noise.
     fn meets(&self) -> bool {
         self.off_cmds_per_sec >= self.on_cmds_per_sec * 0.95
-            && self.off_cmds_per_sec >= self.profile_on_cmds_per_sec * 0.95
     }
 }
 
-fn measure_telemetry_gate() -> TelemetryGate {
+fn measure_observer_gate() -> ObserverGate {
     let banks = DramSpec::ddr3_1600().org.banks;
-    let (cmds, not_before) = telemetry_gate_run(banks);
-    let rate = |telemetry: bool, profile: bool| {
-        let mut dev = telemetry_gate_device(telemetry, profile);
+    let (cmds, not_before) = observer_gate_run(banks);
+    let rate = |observe: bool| {
+        let mut dev = observer_gate_device(observe);
         let mut done = Vec::new();
         words_per_sec(cmds.len() as u64, || {
             dev.issue_run(&cmds, &not_before, &mut done)
                 .expect("legal run");
         })
     };
-    TelemetryGate {
-        off_cmds_per_sec: rate(false, false),
-        on_cmds_per_sec: rate(true, false),
-        profile_on_cmds_per_sec: rate(false, true),
+    ObserverGate {
+        off_cmds_per_sec: rate(false),
+        on_cmds_per_sec: rate(true),
     }
 }
 
-fn write_json(records: &[OpRecord], verdicts: &[OpVerdict], geomean: f64, tel: &TelemetryGate) {
+fn write_json(records: &[OpRecord], verdicts: &[OpVerdict], geomean: f64, gate: &ObserverGate) {
     let results_dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results");
     let all_meet = verdicts.iter().all(|v| v.meets);
     let mut out = String::from("{\n");
@@ -496,13 +497,11 @@ fn write_json(records: &[OpRecord], verdicts: &[OpVerdict], geomean: f64, tel: &
     }
     out.push_str("  ],\n");
     out.push_str(&format!(
-        "  \"telemetry_gate\": {{\"off_cmds_per_sec\": {:.0}, \
-         \"on_cmds_per_sec\": {:.0}, \"profile_on_cmds_per_sec\": {:.0}, \
-         \"disabled_recovers_cost\": {}}},\n",
-        tel.off_cmds_per_sec,
-        tel.on_cmds_per_sec,
-        tel.profile_on_cmds_per_sec,
-        tel.meets()
+        "  \"observer_gate\": {{\"observer_off_cmds_per_sec\": {:.0}, \
+         \"observer_on_cmds_per_sec\": {:.0}, \"disabled_recovers_cost\": {}}},\n",
+        gate.off_cmds_per_sec,
+        gate.on_cmds_per_sec,
+        gate.meets()
     ));
     out.push_str(&format!(
         "  \"geomean_speedup\": {:.2},\n  \"meets_5x_target\": {}\n}}\n",
@@ -543,7 +542,7 @@ fn main() {
 
     let verdicts = per_op_verdicts(&records);
     let geomean = geomean_speedup(&records);
-    let tel = measure_telemetry_gate();
+    let gate = measure_observer_gate();
     for v in &verdicts {
         println!(
             "datapath/{:<8} min speedup {:>6.2}x  (target {:.1}x)  {}",
@@ -554,17 +553,16 @@ fn main() {
         );
     }
     println!(
-        "datapath geomean {:>6.2}x (target {GEOMEAN_TARGET:.1}x); sinks off {:>10.3e} cmd/s vs telemetry {:>10.3e} vs profile {:>10.3e} cmd/s ({})",
+        "datapath geomean {:>6.2}x (target {GEOMEAN_TARGET:.1}x); observer off {:>10.3e} cmd/s vs on {:>10.3e} cmd/s ({})",
         geomean,
-        tel.off_cmds_per_sec,
-        tel.on_cmds_per_sec,
-        tel.profile_on_cmds_per_sec,
-        if tel.meets() { "ok" } else { "OVERHEAD" }
+        gate.off_cmds_per_sec,
+        gate.on_cmds_per_sec,
+        if gate.meets() { "ok" } else { "OVERHEAD" }
     );
-    write_json(&records, &verdicts, geomean, &tel);
+    write_json(&records, &verdicts, geomean, &gate);
 
     // Regression gate: any op below its band, a sub-target geomean, or
-    // telemetry overhead with the sink disabled fails the bench run.
+    // observation overhead with the observer off fails the bench run.
     let mut failures: Vec<String> = verdicts
         .iter()
         .filter(|v| !v.meets)
@@ -580,10 +578,10 @@ fn main() {
             "geomean {geomean:.2}x (target {GEOMEAN_TARGET:.1}x)"
         ));
     }
-    if !tel.meets() {
+    if !gate.meets() {
         failures.push(format!(
-            "disabled sinks cost throughput (off {:.3e} vs telemetry {:.3e} vs profile {:.3e} cmd/s)",
-            tel.off_cmds_per_sec, tel.on_cmds_per_sec, tel.profile_on_cmds_per_sec
+            "the disabled observer costs throughput (off {:.3e} vs on {:.3e} cmd/s)",
+            gate.off_cmds_per_sec, gate.on_cmds_per_sec
         ));
     }
     if !failures.is_empty() {

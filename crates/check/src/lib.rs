@@ -2,7 +2,8 @@
 //!
 //! An *independent* correctness oracle for the DRAM protocol: the
 //! [`Device`](pim_dram::Device) records every command it applies into a
-//! trace ([`pim_dram::TraceSink`], zero-cost when disabled), and this crate
+//! trace (the [`pim_dram::Observer`]'s trace projection, zero-cost when
+//! disabled), and this crate
 //! replays the trace against its own bank-state machines and timing tables
 //! — written from the JEDEC constraint definitions, not from
 //! `pim_dram::device` — so the two implementations cross-validate.
@@ -21,14 +22,15 @@
 //!
 //! ```
 //! use pim_check::{check_trace, replay, CheckOptions, Trace};
-//! use pim_dram::{Command, Device, DramSpec, RowId};
+//! use pim_dram::{Command, Device, DramSpec, Observer, Projection, RowId};
 //!
 //! let mut dev = Device::new(DramSpec::ddr3_1600());
-//! dev.set_trace(true);
+//! dev.observe(Projection::Trace, true);
 //! dev.issue_earliest(Command::Ap(RowId::new(0, 0, 0, 5)), 0).unwrap();
 //! dev.issue_earliest(Command::Ap(RowId::new(0, 0, 1, 6)), 0).unwrap();
 //!
-//! let trace = Trace::capture(dev.spec().clone(), dev.take_trace());
+//! let records = dev.observer_mut().map(Observer::take_trace).unwrap();
+//! let trace = Trace::capture(dev.spec().clone(), records);
 //! let report = check_trace(&trace, CheckOptions::timing_only()).expect("legal");
 //! assert_eq!(report.commands, 2);
 //! replay(&trace).expect("deterministic");
@@ -49,17 +51,18 @@ pub use trace::{Trace, TraceFormatError};
 mod tests {
     use super::*;
     use pim_dram::{
-        BankId, Command, Controller, Device, DramAddr, DramSpec, PhysAddr, Request, RowId,
-        TraceRecord,
+        BankId, Command, Controller, Device, DramAddr, DramSpec, Observer, PhysAddr, Projection,
+        Request, RowId, TraceRecord,
     };
 
     /// Captures the trace of `f` driving a fresh ddr3-1600 device.
     fn captured(f: impl FnOnce(&mut Device)) -> Trace {
         let spec = DramSpec::ddr3_1600();
         let mut dev = Device::new(spec.clone());
-        dev.set_trace(true);
+        dev.observe(Projection::Trace, true);
         f(&mut dev);
-        Trace::capture(spec, dev.take_trace())
+        let records = dev.observer_mut().map(Observer::take_trace);
+        Trace::capture(spec, records.unwrap_or_default())
     }
 
     #[test]
@@ -398,7 +401,7 @@ mod tests {
     #[test]
     fn controller_trace_with_refresh_passes_deadline_checking() {
         let mut mc = Controller::new(DramSpec::ddr3_1600());
-        mc.set_trace(true);
+        mc.device_mut().observe(Projection::Trace, true);
         let spec = mc.device().spec().clone();
         let refi = spec.timing.refi;
         // Keep the controller busy across several refresh windows.
@@ -412,7 +415,8 @@ mod tests {
             mc.step();
         }
         mc.run_until_idle();
-        let trace = Trace::capture(spec.clone(), mc.take_trace());
+        let records = mc.device_mut().observer_mut().map(Observer::take_trace);
+        let trace = Trace::capture(spec.clone(), records.unwrap_or_default());
         let report =
             check_trace(&trace, CheckOptions::with_refresh(&spec)).expect("controller is legal");
         assert!(report.refreshes >= 3, "refreshes: {}", report.refreshes);

@@ -10,7 +10,7 @@
 //! functional state, since every data-moving command is in the trace).
 
 use crate::trace::Trace;
-use pim_dram::{Device, DramError};
+use pim_dram::{Device, DramError, Observer, Projection};
 use std::fmt;
 
 /// Why a replay failed.
@@ -57,13 +57,14 @@ impl std::error::Error for ReplayError {}
 /// [`ReplayError::Diverged`] if the re-captured trace differs.
 pub fn replay(trace: &Trace) -> Result<Device, ReplayError> {
     let mut device = Device::new(trace.spec.clone());
-    device.set_trace(true);
+    device.observe(Projection::Trace, true);
     for (index, rec) in trace.records.iter().enumerate() {
         device
             .issue(rec.cmd, rec.at)
             .map_err(|error| ReplayError::Rejected { index, error })?;
     }
-    let recapture = Trace::capture(trace.spec.clone(), device.take_trace());
+    let records = device.observer_mut().map(Observer::take_trace);
+    let recapture = Trace::capture(trace.spec.clone(), records.unwrap_or_default());
     if let Some(index) = recapture
         .records
         .iter()

@@ -130,7 +130,9 @@ impl Trace {
         let spec: DramSpec = serde_json::from_str(spec_json)
             .map_err(|e| TraceFormatError::new(format!("bad spec header: {e}")))?;
         let count = u64::from_le_bytes(cur.take(8)?.try_into().unwrap()) as usize;
-        let mut records = Vec::with_capacity(count.min(1 << 20));
+        // Reserve only what the remaining bytes can hold: the count is
+        // untrusted, and a huge one must fail as truncated, not allocate.
+        let mut records = Vec::with_capacity(count.min(cur.remaining() / RECORD_BYTES));
         for i in 0..count {
             let rec = cur.take(RECORD_BYTES)?;
             let at = u64::from_le_bytes(rec[0..8].try_into().unwrap());
@@ -255,6 +257,10 @@ struct Cursor<'a> {
 }
 
 impl<'a> Cursor<'a> {
+    fn remaining(&self) -> usize {
+        self.bytes.len() - self.pos
+    }
+
     fn take(&mut self, n: usize) -> Result<&'a [u8], TraceFormatError> {
         let end = self
             .pos

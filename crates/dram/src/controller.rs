@@ -12,6 +12,7 @@ use crate::error::{DramError, Result};
 use crate::mapping::AddressMapping;
 use crate::spec::DramSpec;
 use crate::stats::ControllerStats;
+use crate::trace::Observer;
 use crate::types::{Access, Cycle, DramAddr, PhysAddr};
 use std::collections::VecDeque;
 use std::fmt;
@@ -194,53 +195,13 @@ impl Controller {
         &self.device
     }
 
-    /// Mutable access to the underlying device (e.g. preloading row data).
+    /// Mutable access to the underlying device (e.g. preloading row data,
+    /// or observing the commands the scheduler issues — every command,
+    /// refresh and row-policy precharges included, funnels through the
+    /// device's single mutation point, and the scheduler adds its
+    /// `dram.ctrl.*` series to the observer's telemetry).
     pub fn device_mut(&mut self) -> &mut Device {
         &mut self.device
-    }
-
-    /// Enables or disables command-trace capture on the underlying device.
-    ///
-    /// Every command the scheduler issues — including refresh and
-    /// row-policy precharges — funnels through the device's single
-    /// mutation point, so the trace is complete.
-    pub fn set_trace(&mut self, enabled: bool) {
-        self.device.set_trace(enabled);
-    }
-
-    /// Takes the device's captured command trace (empty when disabled).
-    pub fn take_trace(&mut self) -> Vec<crate::trace::TraceRecord> {
-        self.device.take_trace()
-    }
-
-    /// Enables or disables telemetry capture: the device's per-bank
-    /// command counters plus the scheduler's row-buffer hit/miss/
-    /// conflict, tFAW-stall, and refresh-busy series.
-    pub fn set_telemetry(&mut self, enabled: bool) {
-        self.device.set_telemetry(enabled);
-    }
-
-    /// Takes the captured telemetry (`None` when disabled).
-    pub fn take_telemetry(&mut self) -> Option<pim_telemetry::TelemetrySink> {
-        self.device.take_telemetry()
-    }
-
-    /// Enables or disables profiling capture: one occupancy slice per
-    /// issued command on its bank/rank/channel lane. Every command the
-    /// scheduler issues funnels through the device's single mutation
-    /// point, so the timeline is complete.
-    pub fn set_profile(&mut self, enabled: bool) {
-        self.device.set_profile(enabled);
-    }
-
-    /// `true` if profiling capture is on.
-    pub fn profile_enabled(&self) -> bool {
-        self.device.profile_enabled()
-    }
-
-    /// Takes the captured profile events (`None` when disabled).
-    pub fn take_profile(&mut self) -> Option<pim_profile::ProfileSink> {
-        self.device.take_profile()
     }
 
     /// The address-mapping scheme in use.
@@ -378,16 +339,14 @@ impl Controller {
             return false;
         };
         let ch = cmd.channel() as usize;
-        if self.device.telemetry_enabled() {
+        if let Command::Act(row) = cmd {
             // Sampled before `issue` mutates the rank's activate window:
             // the cycles tFAW (not bank timing or tRRD) pushed this ACT.
-            if let Command::Act(row) = cmd {
-                let stall = self.device.act_faw_delay(row.bank_id());
+            let stall = self.device.act_faw_delay(row.bank_id());
+            let index = self.device.spec().org.flat_bank_index(row.bank_id());
+            if let Some(tel) = self.device.observer_mut().and_then(Observer::telemetry) {
                 if stall > 0 {
-                    let index = self.device.flat_bank_index(row.bank_id());
-                    if let Some(tel) = self.device.telemetry_mut() {
-                        tel.count("dram.ctrl.faw_stall_cycles", index, stall);
-                    }
+                    tel.count("dram.ctrl.faw_stall_cycles", index, stall);
                 }
             }
         }
@@ -425,7 +384,8 @@ impl Controller {
                 } else {
                     self.stats.row_hits += 1;
                 }
-                if self.device.telemetry_enabled() {
+                let index = self.device.spec().org.flat_bank_index(p.addr.bank_id());
+                if let Some(tel) = self.device.observer_mut().and_then(Observer::telemetry) {
                     let series = if p.needed_pre {
                         "dram.ctrl.row_conflict"
                     } else if p.needed_act {
@@ -433,10 +393,7 @@ impl Controller {
                     } else {
                         "dram.ctrl.row_hit"
                     };
-                    let index = self.device.flat_bank_index(p.addr.bank_id());
-                    if let Some(tel) = self.device.telemetry_mut() {
-                        tel.count(series, index, 1);
-                    }
+                    tel.count(series, index, 1);
                 }
                 let latency = outcome.done - p.arrival;
                 self.stats.last_done = self.stats.last_done.max(outcome.done);
@@ -478,7 +435,7 @@ impl Controller {
                 let ridx = (channel * self.device.spec().org.ranks + rank) as usize;
                 self.refresh[ridx].next_due += self.device.spec().timing.refi;
                 let rfc = self.device.spec().timing.rfc;
-                if let Some(tel) = self.device.telemetry_mut() {
+                if let Some(tel) = self.device.observer_mut().and_then(Observer::telemetry) {
                     tel.count("dram.ctrl.refresh_busy_cycles", ridx as u32, rfc);
                 }
             }

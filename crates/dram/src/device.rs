@@ -9,13 +9,11 @@
 
 use crate::bank::{Bank, BankState};
 use crate::command::{Command, CommandCounts, CommandKind};
-use crate::data::DataStore;
+use crate::data::{BankRows, DataStore};
 use crate::error::{DramError, Result};
 use crate::spec::DramSpec;
-use crate::trace::{TraceRecord, TraceSink};
+use crate::trace::{Observer, Projection};
 use crate::types::{BankId, Cycle, DramAddr, RowId};
-use pim_profile::{Lane, ProfileSink};
-use pim_telemetry::TelemetrySink;
 use std::collections::VecDeque;
 
 /// Rank-level timing state: tRRD spacing and the tFAW rolling window.
@@ -94,15 +92,11 @@ pub struct Device {
     channels: Vec<ChannelTiming>,
     store: DataStore,
     counts: CommandCounts,
-    /// Optional command-trace capture; `None` (the default) keeps the
-    /// issue path free of any recording cost beyond one branch.
-    sink: Option<TraceSink>,
-    /// Optional telemetry capture (per-bank command counters); same
-    /// zero-cost-when-disabled discipline as `sink`.
-    telemetry: Option<TelemetrySink>,
-    /// Optional profiling capture (per-bank/rank/channel occupancy
-    /// slices); same zero-cost-when-disabled discipline as `sink`.
-    profile: Option<ProfileSink>,
+    /// Optional command observation: one event log whose projections are
+    /// the trace, the per-bank telemetry counters and the occupancy
+    /// timeline. `None` (the default) keeps the issue path free of any
+    /// recording cost beyond one branch.
+    observer: Option<Observer>,
     /// `true` (the default) lets callers use the [`Device::issue_run`]
     /// batched path; turning it off forces per-command issue everywhere —
     /// the equivalence tests' lever.
@@ -134,9 +128,7 @@ impl Device {
             channels,
             store,
             counts: CommandCounts::new(),
-            sink: None,
-            telemetry: None,
-            profile: None,
+            observer: None,
             batch_runs: true,
             batched_commands: 0,
         };
@@ -173,101 +165,27 @@ impl Device {
         &self.counts
     }
 
-    /// Enables or disables command-trace capture.
+    /// Switches one projection of command observation on or off (see
+    /// [`Observer`]).
     ///
-    /// Enabling starts a fresh trace; disabling discards any captured
-    /// records. While disabled the only cost on the issue path is one
-    /// branch on a `None` option.
-    pub fn set_trace(&mut self, enabled: bool) {
-        self.sink = if enabled {
-            Some(TraceSink::new())
-        } else {
-            None
-        };
-    }
-
-    /// `true` if command-trace capture is on.
-    pub fn trace_enabled(&self) -> bool {
-        self.sink.is_some()
-    }
-
-    /// Takes the captured trace, leaving an empty sink in place (capture
-    /// stays enabled). Records are in capture order; bank-sharded runs
-    /// append shard traces bank-major, so normalize with
-    /// [`trace::normalize`](crate::trace::normalize) before comparing.
-    ///
-    /// Returns an empty vector when capture is disabled.
-    pub fn take_trace(&mut self) -> Vec<TraceRecord> {
-        match &mut self.sink {
-            Some(sink) => std::mem::take(sink).into_records(),
-            None => Vec::new(),
+    /// Switching a projection on starts it fresh. The observer exists
+    /// while any projection is on and is dropped, with its event log, when
+    /// the last one goes off; while none is on the only cost on the issue
+    /// path is one branch on a `None` option.
+    pub fn observe(&mut self, projection: Projection, enabled: bool) {
+        let org = self.spec.org;
+        let observer = self.observer.get_or_insert_with(|| Observer::new(org));
+        observer.set(projection, enabled);
+        if observer.is_idle() {
+            self.observer = None;
         }
     }
 
-    /// Enables or disables telemetry capture (per-bank command
-    /// counters, controller scheduling metrics).
-    ///
-    /// Enabling starts a fresh registry; disabling discards it. While
-    /// disabled the only cost on the issue path is one branch on a
-    /// `None` option.
-    pub fn set_telemetry(&mut self, enabled: bool) {
-        self.telemetry = if enabled {
-            Some(TelemetrySink::new())
-        } else {
-            None
-        };
-    }
-
-    /// `true` if telemetry capture is on.
-    pub fn telemetry_enabled(&self) -> bool {
-        self.telemetry.is_some()
-    }
-
-    /// Takes the captured telemetry, leaving a fresh sink in place
-    /// (capture stays enabled). `None` when capture is disabled.
-    pub fn take_telemetry(&mut self) -> Option<TelemetrySink> {
-        self.telemetry.as_mut().map(std::mem::take)
-    }
-
-    /// Mutable access to the live telemetry sink (for co-located
-    /// recorders like the controller and the Ambit engine), `None`
-    /// while capture is disabled.
-    pub fn telemetry_mut(&mut self) -> Option<&mut TelemetrySink> {
-        self.telemetry.as_mut()
-    }
-
-    /// Enables or disables profiling capture: one occupancy slice per
-    /// issued command on its bank/rank/channel lane, spanning issue
-    /// cycle to completion.
-    ///
-    /// Enabling starts a fresh sink; disabling discards it. While
-    /// disabled the only cost on the issue path is one branch on a
-    /// `None` option — the same discipline as `set_trace`.
-    pub fn set_profile(&mut self, enabled: bool) {
-        self.profile = if enabled {
-            Some(ProfileSink::new())
-        } else {
-            None
-        };
-    }
-
-    /// `true` if profiling capture is on.
-    pub fn profile_enabled(&self) -> bool {
-        self.profile.is_some()
-    }
-
-    /// Takes the captured profile events, leaving a fresh sink in
-    /// place (capture stays enabled). `None` when capture is disabled.
-    /// Shard-merged captures are concatenated shard-major; consumers
-    /// normalize at export (see `pim_profile::event::normalize`).
-    pub fn take_profile(&mut self) -> Option<ProfileSink> {
-        self.profile.as_mut().map(std::mem::take)
-    }
-
-    /// Mutable access to the live profile sink (for co-located
-    /// recorders like the Ambit engine), `None` while disabled.
-    pub fn profile_mut(&mut self) -> Option<&mut ProfileSink> {
-        self.profile.as_mut()
+    /// The live observer, `None` while every projection is off: callers
+    /// take projections from it, and co-located recorders (the
+    /// controller, the Ambit engine) reach its telemetry registry.
+    pub fn observer_mut(&mut self) -> Option<&mut Observer> {
+        self.observer.as_mut()
     }
 
     /// Enables or disables the batched-run issue path ([`Device::issue_run`]).
@@ -301,12 +219,6 @@ impl Device {
     /// or telemetry.
     pub fn reset_batched_commands(&mut self) {
         self.batched_commands = 0;
-    }
-
-    /// Flat telemetry instance index of `bank`:
-    /// `(channel * ranks + rank) * banks + bank`.
-    pub fn flat_bank_index(&self, bank: BankId) -> u32 {
-        (bank.channel * self.spec.org.ranks + bank.rank) * self.spec.org.banks + bank.bank
     }
 
     /// Current state of `bank`.
@@ -585,60 +497,16 @@ impl Device {
     /// is what lets [`Device::issue_earliest`] validate exactly once.
     fn apply(&mut self, cmd: Command, at: Cycle) -> IssueOutcome {
         self.counts.record(cmd.kind());
-        if let Some(sink) = &mut self.sink {
-            sink.push(at, cmd);
-        }
-        if self.telemetry.is_some() {
-            let index = self.telemetry_index(&cmd);
-            let series = cmd.kind().telemetry_series();
-            if let Some(tel) = &mut self.telemetry {
-                tel.count(series, index, 1);
-            }
-        }
         let outcome = self.apply_state(cmd, at);
-        if self.profile.is_some() {
-            let lane = self.profile_lane(&cmd);
-            let name = cmd.kind().mnemonic();
-            if let Some(prof) = &mut self.profile {
-                prof.slice(lane, name, at, outcome.done, None);
-            }
+        if let Some(obs) = &mut self.observer {
+            obs.record(at, cmd, outcome.done);
         }
         outcome
     }
 
-    /// Profiling lane for `cmd`: column transfers occupy the channel's
-    /// data-bus lane (the paper's bus-vs-in-DRAM split), rank-scoped
-    /// REF/PREA the flat rank lane, and everything else — activations
-    /// and the in-DRAM compute commands — its flat bank lane.
-    fn profile_lane(&self, cmd: &Command) -> Lane {
-        match cmd.kind() {
-            CommandKind::Rd | CommandKind::RdA | CommandKind::Wr | CommandKind::WrA => {
-                Lane::Channel(cmd.channel())
-            }
-            CommandKind::Ref | CommandKind::PreAll => {
-                let (channel, rank) = cmd.rank();
-                Lane::Rank(channel * self.spec.org.ranks + rank)
-            }
-            _ => Lane::Bank(self.flat_bank_index(cmd.bank().expect("bank-scoped command"))),
-        }
-    }
-
-    /// Telemetry instance index for `cmd`: per-bank counter for
-    /// bank-scoped commands; rank-scoped REF/PREA index by flat rank
-    /// instead (distinct series names, so the index spaces never mix).
-    fn telemetry_index(&self, cmd: &Command) -> u32 {
-        match cmd.bank() {
-            Some(b) => self.flat_bank_index(b),
-            None => {
-                let (channel, rank) = cmd.rank();
-                channel * self.spec.org.ranks + rank
-            }
-        }
-    }
-
     /// The state-transition half of [`Device::apply`]: timing chains and
     /// functional data, no bookkeeping. [`Device::issue_run`] calls this
-    /// per command and batches counts/telemetry once per run.
+    /// per command and records counts once per run.
     fn apply_state(&mut self, cmd: Command, at: Cycle) -> IssueOutcome {
         let t = self.spec.timing;
         let pim = self.spec.pim;
@@ -865,20 +733,19 @@ impl Device {
     /// command's completion cycle onto `done` (cleared first). Returns the
     /// cycle the last command in the run finishes.
     ///
-    /// Commands are validated and applied strictly in order, so the timing
-    /// chains, functional data, and captured trace are byte-identical to
-    /// issuing the run through [`Device::issue_earliest`] one command at a
-    /// time. What the batch saves is per-command bookkeeping churn: command
-    /// counts are recorded once per run ([`CommandCounts::record_n`]) and
-    /// per-bank telemetry counters are accumulated locally and flushed once
-    /// per distinct bank, in first-appearance order.
+    /// Commands are validated, applied and observed strictly in order, so
+    /// the timing chains, functional data, and observed events are
+    /// byte-identical to issuing the run through [`Device::issue_earliest`]
+    /// one command at a time. What the batch saves is per-command
+    /// bookkeeping churn: command counts are recorded once per run
+    /// ([`CommandCounts::record_n`]).
     ///
     /// # Errors
     ///
     /// Same as [`Device::earliest`]. On a mid-run error the commands before
     /// the failing one stay applied — exactly as if they had been issued
-    /// individually — and `done` holds their completion cycles, so counts,
-    /// trace, and telemetry still agree with the per-command path.
+    /// individually — and `done` holds their completion cycles, so counts
+    /// and observed events still agree with the per-command path.
     ///
     /// # Panics
     ///
@@ -904,13 +771,6 @@ impl Device {
             cmds.iter().all(|c| c.kind() == kind),
             "issue_run requires a kind-homogeneous run"
         );
-        let trace_on = self.sink.is_some();
-        let tel_on = self.telemetry.is_some();
-        let prof_on = self.profile.is_some();
-        let prof_name = kind.mnemonic();
-        // Local per-bank accumulator; only allocates when telemetry is
-        // capturing (a mode that records into a sink anyway).
-        let mut tel_counts: Vec<(u32, u64)> = Vec::new();
         let mut end = 0;
         let mut err = None;
         for (cmd, &nb) in cmds.iter().zip(not_before) {
@@ -921,24 +781,9 @@ impl Device {
                     break;
                 }
             };
-            if trace_on {
-                if let Some(sink) = &mut self.sink {
-                    sink.push(at, *cmd);
-                }
-            }
-            if tel_on {
-                let index = self.telemetry_index(cmd);
-                match tel_counts.iter_mut().find(|(i, _)| *i == index) {
-                    Some(entry) => entry.1 += 1,
-                    None => tel_counts.push((index, 1)),
-                }
-            }
             let outcome = self.apply_state(*cmd, at);
-            if prof_on {
-                let lane = self.profile_lane(cmd);
-                if let Some(prof) = &mut self.profile {
-                    prof.slice(lane, prof_name, at, outcome.done, None);
-                }
+            if let Some(obs) = &mut self.observer {
+                obs.record(at, *cmd, outcome.done);
             }
             done.push(outcome.done);
             end = end.max(outcome.done);
@@ -946,14 +791,6 @@ impl Device {
         // One bookkeeping touch for exactly the applied prefix.
         self.counts.record_n(kind, done.len() as u64);
         self.batched_commands += done.len() as u64;
-        if tel_on {
-            let series = kind.telemetry_series();
-            if let Some(tel) = &mut self.telemetry {
-                for (index, n) in tel_counts {
-                    tel.count(series, index, n);
-                }
-            }
-        }
         match err {
             Some(e) => Err(e),
             None => Ok(end),
@@ -983,23 +820,8 @@ impl Device {
     /// Returns [`DramError::AddressOutOfRange`] if `bank` does not exist.
     pub fn fork_bank(&mut self, bank: BankId) -> Result<Device> {
         self.check_bank_id(bank)?;
-        let mut store = DataStore::new(self.spec.org.row_bytes());
-        if let Some(arena) = self.store.take_bank(bank) {
-            store.insert_bank(arena);
-        }
-        Ok(Device {
-            spec: self.spec.clone(),
-            channels: self.channels.clone(),
-            store,
-            counts: CommandCounts::new(),
-            // The shard records its own bank-local trace/telemetry iff
-            // the parent is recording; join_bank merges them back.
-            sink: self.sink.as_ref().map(|_| TraceSink::new()),
-            telemetry: self.telemetry.as_ref().map(|_| TelemetrySink::new()),
-            profile: self.profile.as_ref().map(|_| ProfileSink::new()),
-            batch_runs: self.batch_runs,
-            batched_commands: 0,
-        })
+        let arena = self.store.take_bank(bank);
+        Ok(self.shard(arena))
     }
 
     /// Reabsorbs a shard produced by [`Device::fork_bank`]: `bank`'s timing
@@ -1009,23 +831,10 @@ impl Device {
     /// # Errors
     ///
     /// Returns [`DramError::AddressOutOfRange`] if `bank` does not exist.
-    pub fn join_bank(&mut self, bank: BankId, mut shard: Device) -> Result<()> {
+    pub fn join_bank(&mut self, bank: BankId, shard: Device) -> Result<()> {
         self.check_bank_id(bank)?;
         *self.bank_mut(bank) = shard.bank(bank).clone();
-        for arena in shard.store.take_all_banks() {
-            self.store.insert_bank(arena);
-        }
-        self.counts.merge(&shard.counts);
-        self.batched_commands += shard.batched_commands;
-        if let (Some(mine), Some(theirs)) = (&mut self.sink, shard.sink.take()) {
-            mine.absorb(theirs);
-        }
-        if let (Some(mine), Some(theirs)) = (&mut self.telemetry, shard.telemetry.take()) {
-            mine.merge(theirs);
-        }
-        if let (Some(mine), Some(theirs)) = (&mut self.profile, shard.profile.take()) {
-            mine.absorb(theirs);
-        }
+        self.absorb(shard);
         Ok(())
     }
 
@@ -1046,36 +855,23 @@ impl Device {
     /// fork the Ambit engine uses).
     ///
     /// The moved rows read as zero in `self` until [`Device::join_channel`]
-    /// returns them. The shard starts with fresh counts, trace, and
-    /// telemetry sinks so the join merges without double counting.
+    /// returns them. The shard starts with fresh counts and an empty
+    /// observer so the join merges without double counting.
     ///
     /// # Errors
     ///
     /// Returns [`DramError::AddressOutOfRange`] if `channel` does not exist.
     pub fn fork_channel(&mut self, channel: u32) -> Result<Device> {
         self.check_bank_id(BankId::new(channel, 0, 0))?;
-        let mut store = DataStore::new(self.spec.org.row_bytes());
-        for arena in self.store.take_channel(channel) {
-            store.insert_bank(arena);
-        }
-        Ok(Device {
-            spec: self.spec.clone(),
-            channels: self.channels.clone(),
-            store,
-            counts: CommandCounts::new(),
-            sink: self.sink.as_ref().map(|_| TraceSink::new()),
-            telemetry: self.telemetry.as_ref().map(|_| TelemetrySink::new()),
-            profile: self.profile.as_ref().map(|_| ProfileSink::new()),
-            batch_runs: self.batch_runs,
-            batched_commands: 0,
-        })
+        let arenas = self.store.take_channel(channel);
+        Ok(self.shard(arenas))
     }
 
     /// Reabsorbs a shard produced by [`Device::fork_channel`]: the whole
     /// `ChannelTiming` subtree (all ranks, banks, activate windows, and
     /// bus turnaround state) is taken from the shard, the shard's rows
     /// move back into this store, and the shard's counts, batched-command
-    /// diagnostic, trace, and telemetry merge into this device's.
+    /// diagnostic, and observed events merge into this device's.
     ///
     /// Merge ordering: callers joining several channel shards must join in
     /// ascending channel order so the concatenated (channel-major) trace
@@ -1085,24 +881,44 @@ impl Device {
     /// # Errors
     ///
     /// Returns [`DramError::AddressOutOfRange`] if `channel` does not exist.
-    pub fn join_channel(&mut self, channel: u32, mut shard: Device) -> Result<()> {
+    pub fn join_channel(&mut self, channel: u32, shard: Device) -> Result<()> {
         self.check_bank_id(BankId::new(channel, 0, 0))?;
         self.channels[channel as usize] = shard.channels[channel as usize].clone();
+        self.absorb(shard);
+        Ok(())
+    }
+
+    /// A shard owning `arenas`, with a copy of the timing state, fresh
+    /// counts, and an empty fork of the observer (so joins merge without
+    /// double counting).
+    fn shard(&self, arenas: impl IntoIterator<Item = BankRows>) -> Device {
+        let mut store = DataStore::new(self.spec.org.row_bytes());
+        for arena in arenas {
+            store.insert_bank(arena);
+        }
+        Device {
+            spec: self.spec.clone(),
+            channels: self.channels.clone(),
+            store,
+            counts: CommandCounts::new(),
+            observer: self.observer.as_ref().map(Observer::fork),
+            batch_runs: self.batch_runs,
+            batched_commands: 0,
+        }
+    }
+
+    /// The join common to both shard kinds: the shard's rows move back,
+    /// and its counts, batched-command diagnostic, and observed events
+    /// merge into this device's.
+    fn absorb(&mut self, mut shard: Device) {
         for arena in shard.store.take_all_banks() {
             self.store.insert_bank(arena);
         }
         self.counts.merge(&shard.counts);
         self.batched_commands += shard.batched_commands;
-        if let (Some(mine), Some(theirs)) = (&mut self.sink, shard.sink.take()) {
+        if let (Some(mine), Some(theirs)) = (&mut self.observer, shard.observer) {
             mine.absorb(theirs);
         }
-        if let (Some(mine), Some(theirs)) = (&mut self.telemetry, shard.telemetry.take()) {
-            mine.merge(theirs);
-        }
-        if let (Some(mine), Some(theirs)) = (&mut self.profile, shard.profile.take()) {
-            mine.absorb(theirs);
-        }
-        Ok(())
     }
 }
 
@@ -1714,7 +1530,7 @@ mod tests {
         // per-channel shards; data, counts, timing state, and the
         // normalized trace must be indistinguishable.
         let mut direct = dev2ch();
-        direct.set_trace(true);
+        direct.observe(Projection::Trace, true);
         let mut direct_ends = Vec::new();
         for ch in 0..2 {
             direct
@@ -1724,7 +1540,7 @@ mod tests {
         }
 
         let mut forked = dev2ch();
-        forked.set_trace(true);
+        forked.observe(Projection::Trace, true);
         for ch in 0..2 {
             forked
                 .store_mut()
@@ -1769,8 +1585,8 @@ mod tests {
             );
         }
         // Channel-major shard traces normalize to the sequential capture.
-        let mut a = direct.take_trace();
-        let mut b = forked.take_trace();
+        let mut a = direct.observer_mut().map(Observer::take_trace).unwrap();
+        let mut b = forked.observer_mut().map(Observer::take_trace).unwrap();
         crate::trace::normalize(&mut a);
         crate::trace::normalize(&mut b);
         assert_eq!(a, b);

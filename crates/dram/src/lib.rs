@@ -64,5 +64,5 @@ pub use mapping::AddressMapping;
 pub use refresh::{reduction_vs_baseline, rows_per_ref, RefreshPolicy, RetentionBin};
 pub use spec::{DramSpec, Organization, PimTiming, SpecError, Timing};
 pub use stats::ControllerStats;
-pub use trace::{TraceRecord, TraceSink};
+pub use trace::{Observer, Projection, TraceRecord};
 pub use types::{Access, BankId, Cycle, DramAddr, PhysAddr, RowId};

@@ -8,7 +8,7 @@
 //! All timing fields are in memory-clock cycles; [`Timing::t_ck_ps`] gives the
 //! clock period so callers can convert to wall-clock time.
 
-use crate::types::Cycle;
+use crate::types::{BankId, Cycle};
 use std::fmt;
 
 /// DRAM timing constraints, in memory-clock cycles.
@@ -174,6 +174,18 @@ impl Organization {
     /// Total number of banks across all channels and ranks.
     pub const fn total_banks(&self) -> u32 {
         self.channels * self.ranks * self.banks
+    }
+
+    /// Flat index of `(channel, rank)` across the device: `channel * ranks
+    /// + rank`.
+    pub fn flat_rank_index(&self, (channel, rank): (u32, u32)) -> u32 {
+        channel * self.ranks + rank
+    }
+
+    /// Flat index of `bank` across the device: `(channel * ranks + rank) *
+    /// banks + bank` — the per-bank telemetry instance and profiling lane.
+    pub fn flat_bank_index(&self, bank: BankId) -> u32 {
+        self.flat_rank_index((bank.channel, bank.rank)) * self.banks + bank.bank
     }
 
     /// Validates the organization.

@@ -1,28 +1,35 @@
-//! Command-trace capture: a zero-cost-when-disabled hook that records
-//! every command the device applies, for offline legality checking and
-//! deterministic replay (see the `pim-check` crate).
+//! Command observation: one event log at the device's single mutation
+//! point, with the three export formats as projections of it.
 //!
-//! The [`Device`](crate::Device) owns an optional [`TraceSink`]; when it is
-//! absent (the default) the only cost on the issue path is a branch on a
-//! `None`. When enabled, [`Device::apply`](crate::Device::issue) appends one
-//! [`TraceRecord`] per command — the *exact* command and issue cycle, taken
-//! at the device's single mutation point, so nothing the controller or the
-//! Ambit engine issues can escape the trace.
+//! The [`Device`](crate::Device) owns an optional [`Observer`] — `None`
+//! by default, costing one branch per command — which logs every applied
+//! command with its issue and completion cycles. Each [`Projection`] is
+//! derived from that log when it is taken: [`Observer::take_trace`] (the
+//! PIMTRC01 records `pim-check` validates and replays),
+//! [`Observer::take_telemetry`] (`dram.cmd.<kind>` counters plus the
+//! series recorders write into [`Observer::telemetry`]) and
+//! [`Observer::take_profile`] (PIMPROF01 occupancy slices). Each enabled
+//! projection reads from its own position, so takes are independent; the
+//! prefix all of them have read is dropped.
 //!
 //! ## Shard merging
 //!
-//! The bank-parallel Ambit path runs per-bank device shards
-//! ([`Device::fork_bank`](crate::Device::fork_bank)); each shard records its
-//! own bank-local trace and [`Device::join_bank`](crate::Device::join_bank)
-//! concatenates them back. The concatenation is bank-major, not time-major,
-//! so consumers must [`normalize`] before comparing or checking traces.
-//! Normalization is a stable sort on `(cycle, channel, rank, bank)`: within
-//! one bank records are already in issue order (bank occupancy serializes
-//! them), so the result is a canonical global order that is *identical*
-//! whether the trace was captured sequentially or from merged shards.
+//! Device shards ([`Device::fork_bank`](crate::Device::fork_bank),
+//! [`Device::fork_channel`](crate::Device::fork_channel)) observe into an
+//! empty fork of the parent's observer, and the join appends their events
+//! shard-major, so consumers [`normalize`] traces (and
+//! `pim_profile::event::normalize` timelines) before comparing them: a
+//! stable sort on `(cycle, channel, rank, bank)`. Within one bank records
+//! are already in issue order (bank occupancy serializes them), so the
+//! result is *identical* whether the log was captured sequentially or from
+//! merged shards. Telemetry counters add, so they need no normalization.
 
-use crate::command::Command;
+use crate::command::{Command, CommandKind};
+use crate::spec::Organization;
 use crate::types::Cycle;
+use pim_profile::{Lane, ProfileSink};
+use pim_telemetry::TelemetrySink;
+use std::collections::BTreeMap;
 
 /// One issued command, as observed at the device's mutation point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -55,53 +62,198 @@ pub fn normalize(records: &mut [TraceRecord]) {
     records.sort_by_key(TraceRecord::sort_key);
 }
 
-/// A command-trace buffer owned by a recording device.
-#[derive(Debug, Clone, Default)]
-pub struct TraceSink {
-    records: Vec<TraceRecord>,
+/// One applied command: what it was, when it issued, when it completed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct CommandEvent {
+    at: Cycle,
+    cmd: Command,
+    /// See [`IssueOutcome::done`](crate::IssueOutcome::done).
+    done: Cycle,
 }
 
-impl TraceSink {
-    /// An empty sink.
-    pub fn new() -> Self {
-        TraceSink::default()
+/// One export format derived from the observed command stream.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Projection {
+    /// PIMTRC01 command records ([`Observer::take_trace`]).
+    Trace,
+    /// Per-bank command counters plus the recorders' own series
+    /// ([`Observer::take_telemetry`]).
+    Telemetry,
+    /// Bank/rank/channel occupancy slices ([`Observer::take_profile`]).
+    Profile,
+}
+
+/// The command-event log a recording device owns, with one read position
+/// per enabled [`Projection`].
+#[derive(Debug, Clone)]
+pub struct Observer {
+    org: Organization,
+    events: Vec<CommandEvent>,
+    /// Read position into `events` per projection; `None` while it is off.
+    read: [Option<usize>; 3],
+    /// Series that are not a function of the command stream.
+    telemetry: TelemetrySink,
+}
+
+impl Observer {
+    /// An observer with every projection off, for a device of `org`.
+    pub(crate) fn new(org: Organization) -> Self {
+        Observer {
+            org,
+            events: Vec::new(),
+            read: [None; 3],
+            telemetry: TelemetrySink::new(),
+        }
     }
 
-    /// Appends one record.
+    /// Switches `projection` on or off. Switching on starts it fresh: it
+    /// sees only commands applied from now on (and, for telemetry, an
+    /// empty registry).
+    pub(crate) fn set(&mut self, projection: Projection, enabled: bool) {
+        self.read[projection as usize] = enabled.then_some(self.events.len());
+        if projection == Projection::Telemetry {
+            self.telemetry = TelemetrySink::new();
+        }
+        self.compact();
+    }
+
+    /// `true` if `projection` is on.
+    pub fn enabled(&self, projection: Projection) -> bool {
+        self.read[projection as usize].is_some()
+    }
+
+    /// `true` if every projection is off.
+    pub(crate) fn is_idle(&self) -> bool {
+        self.read.iter().all(Option::is_none)
+    }
+
+    /// Appends one applied command.
     #[inline]
-    pub fn push(&mut self, at: Cycle, cmd: Command) {
-        self.records.push(TraceRecord { at, cmd });
+    pub(crate) fn record(&mut self, at: Cycle, cmd: Command, done: Cycle) {
+        self.events.push(CommandEvent { at, cmd, done });
     }
 
-    /// The records captured so far, in capture order.
-    pub fn records(&self) -> &[TraceRecord] {
-        &self.records
+    /// The registry co-located recorders (controller scheduling, Ambit
+    /// engine and coalescing metrics) write into; `None` while telemetry
+    /// is off.
+    pub fn telemetry(&mut self) -> Option<&mut TelemetrySink> {
+        if self.enabled(Projection::Telemetry) {
+            Some(&mut self.telemetry)
+        } else {
+            None
+        }
     }
 
-    /// Number of captured records.
-    pub fn len(&self) -> usize {
-        self.records.len()
+    /// An empty observer for a device shard, with the same projections on.
+    pub(crate) fn fork(&self) -> Observer {
+        Observer {
+            org: self.org,
+            events: Vec::new(),
+            read: self.read.map(|r| r.map(|_| 0)),
+            telemetry: TelemetrySink::new(),
+        }
     }
 
-    /// `true` if nothing has been captured.
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
+    /// Moves a shard's events onto the end of this log and merges its
+    /// telemetry (the shard join).
+    pub(crate) fn absorb(&mut self, shard: Observer) {
+        self.events.extend(shard.events);
+        self.telemetry.merge(shard.telemetry);
     }
 
-    /// Consumes the sink, returning the raw (unnormalized) records.
-    pub fn into_records(self) -> Vec<TraceRecord> {
-        self.records
+    /// Takes the trace projection: one record per command applied since
+    /// the last trace take, in capture order. Empty while tracing is off.
+    pub fn take_trace(&mut self) -> Vec<TraceRecord> {
+        self.take(Projection::Trace, |events| {
+            events
+                .iter()
+                .map(|e| TraceRecord {
+                    at: e.at,
+                    cmd: e.cmd,
+                })
+                .collect()
+        })
+        .unwrap_or_default()
     }
 
-    /// Moves another sink's records onto the end of this one (shard merge).
-    pub fn absorb(&mut self, other: TraceSink) {
-        self.records.extend(other.records);
+    /// Takes the telemetry projection: the recorders' series plus one
+    /// `dram.cmd.<kind>` count per command applied since the last
+    /// telemetry take — per flat bank for bank-scoped commands, per flat
+    /// rank for rank-scoped REF/PREA (distinct series names, so the index
+    /// spaces never mix). `None` while telemetry is off.
+    pub fn take_telemetry(&mut self) -> Option<TelemetrySink> {
+        let org = self.org;
+        let counts = self.take(Projection::Telemetry, |events| {
+            let mut counts: BTreeMap<(CommandKind, u32), u64> = BTreeMap::new();
+            for e in events {
+                let index = match e.cmd.bank() {
+                    Some(b) => org.flat_bank_index(b),
+                    None => org.flat_rank_index(e.cmd.rank()),
+                };
+                *counts.entry((e.cmd.kind(), index)).or_default() += 1;
+            }
+            counts
+        })?;
+        let mut sink = std::mem::take(&mut self.telemetry);
+        for ((kind, index), n) in counts {
+            sink.count(kind.telemetry_series(), index, n);
+        }
+        Some(sink)
+    }
+
+    /// Takes the profile projection: one occupancy slice per command
+    /// applied since the last profile take, spanning issue to completion.
+    /// Column transfers occupy their channel's data-bus lane (the paper's
+    /// bus-vs-in-DRAM split), rank-scoped REF/PREA the flat rank lane, and
+    /// everything else — activations and the in-DRAM compute commands —
+    /// its flat bank lane. `None` while profiling is off.
+    pub fn take_profile(&mut self) -> Option<ProfileSink> {
+        let org = self.org;
+        self.take(Projection::Profile, |events| {
+            let mut sink = ProfileSink::new();
+            for e in events {
+                let kind = e.cmd.kind();
+                let lane = match e.cmd.bank() {
+                    _ if kind.uses_bus() => Lane::Channel(e.cmd.channel()),
+                    Some(b) => Lane::Bank(org.flat_bank_index(b)),
+                    None => Lane::Rank(org.flat_rank_index(e.cmd.rank())),
+                };
+                sink.slice(lane, kind.mnemonic(), e.at, e.done, None);
+            }
+            sink
+        })
+    }
+
+    /// Projects the events `projection` has not read yet, advances its
+    /// read position, and drops the prefix every projection has read.
+    fn take<T>(
+        &mut self,
+        projection: Projection,
+        project: impl FnOnce(&[CommandEvent]) -> T,
+    ) -> Option<T> {
+        let from = self.read[projection as usize]?;
+        let out = project(&self.events[from..]);
+        self.read[projection as usize] = Some(self.events.len());
+        self.compact();
+        Some(out)
+    }
+
+    fn compact(&mut self) {
+        let read = self.read.iter().flatten().copied().min();
+        let drop = read.unwrap_or(self.events.len());
+        if drop > 0 {
+            self.events.drain(..drop);
+            for r in self.read.iter_mut().flatten() {
+                *r -= drop;
+            }
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spec::DramSpec;
     use crate::types::{BankId, RowId};
 
     fn rec(at: Cycle, bank: u32) -> TraceRecord {
@@ -139,18 +291,62 @@ mod tests {
         assert_eq!(t[1].cmd.kind(), crate::CommandKind::Ref);
     }
 
+    /// An observer with `projections` on and AP commands to feed it.
+    fn observer(projections: &[Projection]) -> (Observer, Vec<Command>) {
+        let mut obs = Observer::new(DramSpec::ddr3_1600().org);
+        for &p in projections {
+            obs.set(p, true);
+        }
+        let aps = (0..5)
+            .map(|b| Command::Ap(RowId::new(0, 0, b, 9)))
+            .collect();
+        (obs, aps)
+    }
+
     #[test]
-    fn sink_roundtrip_and_absorb() {
-        let mut a = TraceSink::new();
-        assert!(a.is_empty());
-        a.push(3, Command::Ap(RowId::new(0, 0, 0, 9)));
-        let mut b = TraceSink::new();
-        b.push(1, Command::Ap(RowId::new(0, 0, 1, 2)));
-        a.absorb(b);
-        assert_eq!(a.len(), 2);
-        assert_eq!(a.records()[1].at, 1);
-        let mut recs = a.into_records();
-        normalize(&mut recs);
-        assert_eq!(recs[0].at, 1);
+    fn takes_are_independent_and_switching_starts_fresh() {
+        let (mut obs, aps) = observer(&[Projection::Trace, Projection::Telemetry]);
+        obs.telemetry()
+            .expect("on")
+            .count("dram.ctrl.row_hit", 0, 1);
+        for &cmd in &aps[..2] {
+            obs.record(0, cmd, 40);
+        }
+        assert_eq!(obs.take_trace().len(), 2);
+        assert_eq!(obs.events.len(), 2, "telemetry has not read them yet");
+        assert!(obs.take_profile().is_none(), "profiling is off");
+
+        obs.set(Projection::Profile, true);
+        for &cmd in &aps[2..] {
+            obs.record(0, cmd, 40);
+        }
+        assert_eq!(
+            obs.take_profile().expect("on").len(),
+            3,
+            "fresh from the switch"
+        );
+        let tel = obs.take_telemetry().expect("on");
+        assert_eq!(tel.counter("dram.ctrl.row_hit", 0), 1);
+        assert_eq!(tel.counter_total("dram.cmd.ap"), 5);
+        assert_eq!(obs.events.len(), 3, "only trace still has to read these");
+        assert_eq!(obs.take_trace().len(), 3);
+        assert!(obs.events.is_empty(), "every projection has read the log");
+
+        obs.telemetry()
+            .expect("on")
+            .count("dram.ctrl.row_hit", 0, 1);
+        obs.set(Projection::Telemetry, true);
+        assert!(
+            obs.take_telemetry().expect("on").is_empty(),
+            "a fresh registry"
+        );
+        for p in [
+            Projection::Trace,
+            Projection::Telemetry,
+            Projection::Profile,
+        ] {
+            obs.set(p, false);
+        }
+        assert!(obs.is_idle() && obs.telemetry().is_none());
     }
 }

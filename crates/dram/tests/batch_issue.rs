@@ -7,7 +7,8 @@
 //! `batched_commands` diagnostic counter.
 
 use pim_dram::{
-    BankId, Command, CommandCounts, Cycle, Device, DramError, DramSpec, RowId, TraceRecord,
+    BankId, Command, CommandCounts, Cycle, Device, DramError, DramSpec, Observer, Projection,
+    RowId, TraceRecord,
 };
 use pim_telemetry::Snapshot;
 use proptest::prelude::*;
@@ -18,8 +19,8 @@ const PRELOAD_ROWS: u32 = 6;
 /// data preloaded into the first rows of every bank.
 fn instrumented_device() -> Device {
     let mut dev = Device::new(DramSpec::ddr3_1600());
-    dev.set_trace(true);
-    dev.set_telemetry(true);
+    dev.observe(Projection::Trace, true);
+    dev.observe(Projection::Telemetry, true);
     let banks = dev.spec().org.banks;
     let words = dev.store().row_words();
     for bank in 0..banks {
@@ -47,6 +48,12 @@ struct Fingerprint {
     telemetry: String,
 }
 
+fn take_trace(dev: &mut Device) -> Vec<TraceRecord> {
+    dev.observer_mut()
+        .map(Observer::take_trace)
+        .unwrap_or_default()
+}
+
 fn fingerprint(mut dev: Device) -> Fingerprint {
     let banks = dev.spec().org.banks;
     let mut rows = Vec::new();
@@ -58,9 +65,13 @@ fn fingerprint(mut dev: Device) -> Fingerprint {
     Fingerprint {
         rows,
         counts: *dev.counts(),
-        trace: dev.take_trace(),
-        telemetry: Snapshot::from_sink(dev.take_telemetry().expect("telemetry on"))
-            .to_json_string(),
+        trace: take_trace(&mut dev),
+        telemetry: Snapshot::from_sink(
+            dev.observer_mut()
+                .and_then(Observer::take_telemetry)
+                .expect("telemetry on"),
+        )
+        .to_json_string(),
     }
 }
 
@@ -171,7 +182,7 @@ fn empty_run_is_a_no_op() {
     assert!(done.is_empty(), "done is cleared even for empty runs");
     assert_eq!(*dev.counts(), before);
     assert_eq!(dev.batched_commands(), 0);
-    assert!(dev.take_trace().is_empty());
+    assert!(take_trace(&mut dev).is_empty());
 }
 
 #[test]

@@ -1,89 +1,112 @@
-//! Device-level profiling capture: every issued command produces
-//! exactly one occupancy slice on its protocol lane
-//! (`Device::profile_lane` — column transfers on the channel bus lane,
-//! rank-scoped REF/PREA on the rank lane, everything else on its flat
-//! bank lane), the batched [`Device::issue_run`] fast path captures
-//! byte-identically to per-command issue, and fork/join sharding
-//! normalizes to the sequential capture.
+//! Device-level command observation: every applied command projects to
+//! exactly one trace record, one occupancy slice on its protocol lane
+//! (column transfers on the channel bus lane, rank-scoped REF/PREA on the
+//! flat rank lane, everything else on its flat bank lane) and one
+//! `dram.cmd.<kind>` count; the batched [`Device::issue_run`] fast path
+//! observes byte-identically to per-command issue; and channel- and
+//! bank-sharded capture normalizes to the sequential capture.
 
-use pim_dram::{BankId, Command, Cycle, Device, DramSpec, RowId};
-use pim_profile::{Lane, ProfileSink, TraceEvent};
+use pim_dram::trace::normalize;
+use pim_dram::{BankId, Command, Cycle, Device, DramSpec, Projection, RowId, TraceRecord};
+use pim_profile::{Lane, TraceEvent};
+use pim_telemetry::TelemetrySink;
 
-fn profiled_device(spec: DramSpec) -> Device {
+const ALL: [Projection; 3] = [
+    Projection::Trace,
+    Projection::Telemetry,
+    Projection::Profile,
+];
+
+fn observed_device(spec: DramSpec) -> Device {
     let mut dev = Device::new(spec);
-    dev.set_profile(true);
+    for p in ALL {
+        dev.observe(p, true);
+    }
     dev
 }
 
-fn normalized(sink: ProfileSink) -> Vec<TraceEvent> {
-    sink.into_normalized()
+/// The three projections taken from `dev`, trace and timeline normalized.
+fn take(dev: &mut Device) -> (Vec<TraceRecord>, Vec<TraceEvent>, TelemetrySink) {
+    let obs = dev.observer_mut().expect("observing");
+    let mut trace = obs.take_trace();
+    normalize(&mut trace);
+    let timeline = obs.take_profile().expect("profiling on").into_normalized();
+    (trace, timeline, obs.take_telemetry().expect("telemetry on"))
 }
 
 #[test]
 fn commands_slice_onto_their_protocol_lanes() {
-    let mut dev = profiled_device(DramSpec::ddr3_1600().with_channels(2).with_ranks(2));
-    let banks = dev.spec().org.banks;
+    let mut dev = observed_device(DramSpec::ddr3_1600().with_channels(2).with_ranks(2));
+    let org = dev.spec().org;
     let row = RowId::new(1, 1, 2, 5);
-    // Channel 1, rank 1 → flat rank ranks+1, flat bank (ranks+1)*banks+2.
-    let flat_rank = dev.spec().org.ranks + 1;
-    let flat_bank = flat_rank * banks + 2;
+    let (rank, bank) = (
+        org.flat_rank_index((1, 1)),
+        org.flat_bank_index(row.bank_id()),
+    );
+    let refresh = Command::Ref {
+        channel: 1,
+        rank: 1,
+    };
+    let mut issued = Vec::new();
+    let mut ready = 0;
+    for (cmd, lane) in [
+        (Command::Act(row), Lane::Bank(bank)),
+        (Command::Rd(row.addr(0)), Lane::Channel(1)),
+        (Command::WrA(row.addr(1)), Lane::Channel(1)),
+        (refresh, Lane::Rank(rank)),
+    ] {
+        let (at, out) = dev.issue_earliest(cmd, ready).expect("legal");
+        ready = out.done;
+        issued.push((at, cmd, out.done, lane));
+    }
 
-    let (act_at, act_out) = dev.issue_earliest(Command::Act(row), 0).expect("act");
-    let (rd_at, rd_out) = dev.issue_earliest(Command::Rd(row.addr(0)), 0).expect("rd");
-    let (wra_at, wra_out) = dev
-        .issue_earliest(Command::WrA(row.addr(1)), 0)
-        .expect("wra");
-    let (ref_at, ref_out) = dev
-        .issue_earliest(
-            Command::Ref {
-                channel: 1,
-                rank: 1,
-            },
-            wra_out.done,
-        )
-        .expect("ref");
-
-    let events = normalized(dev.take_profile().expect("profiling on"));
-    assert_eq!(events.len(), 4, "one slice per issued command");
-
-    let expect: &[(Lane, &str, Cycle, Cycle)] = &[
-        (Lane::Channel(1), "rd", rd_at, rd_out.done),
-        (Lane::Channel(1), "wra", wra_at, wra_out.done),
-        (Lane::Rank(flat_rank), "ref", ref_at, ref_out.done),
-        (Lane::Bank(flat_bank), "act", act_at, act_out.done),
-    ];
-    for (event, (lane, name, start, end)) in events.iter().zip(expect) {
-        assert_eq!(event.lane, *lane);
-        assert_eq!(event.name.as_ref(), *name);
-        assert_eq!(event.start, *start, "{name} issues at its slice start");
-        assert_eq!(event.end, *end, "{name} slice closes at completion");
-        assert!(
-            event.end > event.start,
-            "{name} occupies at least one cycle"
+    let (trace, timeline, tel) = take(&mut dev);
+    assert_eq!(trace.len(), issued.len(), "one record per command");
+    assert_eq!(timeline.len(), issued.len(), "one slice per command");
+    for (at, cmd, done, lane) in issued {
+        assert!(trace.contains(&TraceRecord { at, cmd }), "{cmd} is traced");
+        let slice = timeline.iter().find(|s| s.start == at).expect("a slice");
+        assert_eq!(slice.lane, lane, "{cmd} lands on its protocol lane");
+        assert_eq!(slice.name.as_ref(), cmd.kind().mnemonic());
+        assert_eq!(
+            (slice.end, slice.value),
+            (done, None),
+            "occupied to completion"
         );
-        assert_eq!(event.value, None, "occupancy slices are not counters");
+        assert!(slice.end > slice.start, "{cmd} occupies at least one cycle");
+        let series = cmd.kind().telemetry_series();
+        let index = if cmd.bank().is_some() { bank } else { rank };
+        assert_eq!(tel.counter(series, index), 1, "{series}[{index}]");
+        assert_eq!(tel.counter_total(series), 1, "{cmd} counts once");
     }
 }
 
 #[test]
 fn disabled_profiling_captures_nothing() {
     let mut dev = Device::new(DramSpec::ddr3_1600());
-    assert!(dev.take_profile().is_none());
+    assert!(dev.observer_mut().is_none());
     dev.issue_earliest(Command::Ap(RowId::new(0, 0, 0, 3)), 0)
         .expect("ap");
-    assert!(dev.take_profile().is_none(), "no sink without set_profile");
-    dev.set_profile(true);
-    dev.set_profile(false);
-    assert!(dev.take_profile().is_none(), "set_profile(false) drops it");
+    assert!(dev.observer_mut().is_none(), "no observer until observed");
+    dev.observe(Projection::Profile, true);
+    dev.observe(Projection::Profile, false);
+    assert!(
+        dev.observer_mut().is_none(),
+        "the last projection off drops it"
+    );
+    dev.observe(Projection::Trace, true);
+    let obs = dev.observer_mut().expect("tracing");
+    assert!(obs.take_profile().is_none(), "other projections stay off");
+    assert!(obs.take_telemetry().is_none());
 }
 
-/// A kind-homogeneous cross-bank AAP run, the shape the Ambit engine's
-/// row loop emits in steady state.
-fn aap_run(banks: u32) -> Vec<Command> {
+/// A kind-homogeneous cross-bank AAP run on one channel, the shape the
+/// Ambit engine's row loop emits in steady state.
+fn aap_run(channel: u32, banks: u32) -> Vec<Command> {
     (0..banks)
         .map(|bank| Command::Aap {
-            src: RowId::new(0, 0, bank, 0),
-            dst: RowId::new(0, 0, bank, 1),
+            src: RowId::new(channel, 0, bank, 0),
+            dst: RowId::new(channel, 0, bank, 1),
             invert: bank % 2 == 1,
         })
         .collect()
@@ -92,55 +115,52 @@ fn aap_run(banks: u32) -> Vec<Command> {
 #[test]
 fn batched_issue_run_profiles_identically_to_per_command_issue() {
     let spec = DramSpec::ddr3_1600();
-    let cmds = aap_run(spec.org.banks);
+    let cmds = aap_run(0, spec.org.banks);
     let not_before: Vec<Cycle> = (0..cmds.len() as Cycle).map(|i| i * 7).collect();
 
-    let mut per_cmd = profiled_device(spec.clone());
+    let mut per_cmd = observed_device(spec.clone());
     for (cmd, &nb) in cmds.iter().zip(&not_before) {
         per_cmd.issue_earliest(*cmd, nb).expect("issue");
     }
-    let reference = normalized(per_cmd.take_profile().expect("profiling on"));
-
-    let mut batched = profiled_device(spec);
+    let mut batched = observed_device(spec);
     let mut done = Vec::new();
     batched
         .issue_run(&cmds, &not_before, &mut done)
         .expect("issue_run");
-    let fast = normalized(batched.take_profile().expect("profiling on"));
 
     assert_eq!(done.len(), cmds.len());
-    assert_eq!(fast, reference, "fast path capture diverged");
+    assert_eq!(take(&mut batched), take(&mut per_cmd), "fast path diverged");
 }
 
 #[test]
 fn bank_sharded_capture_normalizes_to_sequential() {
-    let spec = DramSpec::ddr3_1600();
+    let spec = DramSpec::ddr3_1600().with_channels(2);
     let banks = spec.org.banks;
-    let cmds = aap_run(banks);
+    let cmds: Vec<Command> = (0..2).flat_map(|ch| aap_run(ch, banks)).collect();
 
-    let mut seq = profiled_device(spec.clone());
+    let mut seq = observed_device(spec.clone());
     for cmd in &cmds {
         seq.issue_earliest(*cmd, 0).expect("issue");
     }
-    let reference = normalized(seq.take_profile().expect("profiling on"));
 
-    // Shard per bank, replay each bank's command on its shard, join in
-    // reverse bank order to prove merge-order independence.
-    let mut sharded = profiled_device(spec);
-    let mut shards: Vec<(BankId, Device)> = (0..banks)
-        .map(|b| {
-            let bank = BankId::new(0, 0, b);
-            let shard = sharded.fork_bank(bank).expect("fork");
-            (bank, shard)
-        })
-        .collect();
-    for ((_, shard), cmd) in shards.iter_mut().zip(&cmds) {
-        shard.issue_earliest(*cmd, 0).expect("issue on shard");
+    // The engine's two-level fork — each channel, then each of its banks
+    // — joined in reverse order to prove merge-order independence.
+    let mut sharded = observed_device(spec);
+    for ch in (0..2).rev() {
+        let mut chan = sharded.fork_channel(ch).expect("fork channel");
+        for b in (0..banks).rev() {
+            let bank = BankId::new(ch, 0, b);
+            let mut shard = chan.fork_bank(bank).expect("fork bank");
+            let cmd = cmds[(ch * banks + b) as usize];
+            shard.issue_earliest(cmd, 0).expect("issue on shard");
+            chan.join_bank(bank, shard).expect("join bank");
+        }
+        sharded.join_channel(ch, chan).expect("join channel");
     }
-    for (bank, shard) in shards.into_iter().rev() {
-        sharded.join_bank(bank, shard).expect("join");
-    }
-    let merged = normalized(sharded.take_profile().expect("profiling on"));
 
-    assert_eq!(merged, reference, "sharded capture diverged");
+    assert_eq!(
+        take(&mut sharded),
+        take(&mut seq),
+        "sharded capture diverged"
+    );
 }

@@ -2,15 +2,15 @@
 //!
 //! A [`TraceEvent`] is one interval (or instantaneous sample) on one
 //! [`Lane`] of a timeline: a command occupying a bank, a vault running
-//! a superstep slice, a job waiting in a queue. Components hold an
-//! `Option<ProfileSink>`; disabled profiling is a single branch on
-//! `None` per event — the same zero-cost-when-disabled discipline as
-//! `TraceSink` and `TelemetrySink`.
+//! a superstep slice, a job waiting in a queue. Producers fill a
+//! [`ProfileSink`]: the DRAM device derives its occupancy slices from its
+//! command observer at take time, the Tesseract executor and the
+//! runtime push theirs directly.
 //!
 //! ## Shard merging
 //!
-//! Bank/channel-parallel execution forks fresh sinks per shard and
-//! absorbs them back at the join. The concatenation is shard-major,
+//! Bank/channel-parallel execution captures per shard and concatenates
+//! the shards at the join. The concatenation is shard-major,
 //! not time-major, so consumers [`normalize`] before export: a stable
 //! sort on [`TraceEvent::sort_key`]. Within one lane events are
 //! already in capture order (lane occupancy serializes them), so the
@@ -139,10 +139,7 @@ pub fn normalize(events: &mut [TraceEvent]) {
     events.sort_by(|a, b| a.sort_key().cmp(&b.sort_key()));
 }
 
-/// An event buffer owned by a recording component.
-///
-/// Forked shards start empty and are absorbed back at the join; the
-/// parent then normalizes at export time.
+/// An event buffer; consumers normalize it at export time.
 #[derive(Debug, Clone, Default)]
 pub struct ProfileSink {
     events: Vec<TraceEvent>,
@@ -197,18 +194,6 @@ impl ProfileSink {
     #[inline]
     pub fn push(&mut self, event: TraceEvent) {
         self.events.push(event);
-    }
-
-    /// A fresh sink for a shard (forked sinks always start empty).
-    pub fn fork(&self) -> ProfileSink {
-        ProfileSink::new()
-    }
-
-    /// Moves another sink's events onto the end of this one (shard
-    /// merge). Order-sensitive concatenation; callers normalize at
-    /// export.
-    pub fn absorb(&mut self, other: ProfileSink) {
-        self.events.extend(other.events);
     }
 
     /// The events captured so far, in capture order.
@@ -272,8 +257,8 @@ mod tests {
 
     #[test]
     fn normalize_is_shard_order_independent() {
-        let a = vec![ev(Lane::Bank(0), 0, 4), ev(Lane::Bank(0), 4, 8)];
-        let b = vec![ev(Lane::Bank(1), 0, 4), ev(Lane::Bank(1), 4, 8)];
+        let a = [ev(Lane::Bank(0), 0, 4), ev(Lane::Bank(0), 4, 8)];
+        let b = [ev(Lane::Bank(1), 0, 4), ev(Lane::Bank(1), 4, 8)];
 
         let mut seq = ProfileSink::new();
         // Sequential capture interleaves banks in time order.
@@ -282,18 +267,12 @@ mod tests {
         seq.push(a[1].clone());
         seq.push(b[1].clone());
 
+        // Shard-major concatenation, joined in the opposite order to
+        // prove order independence.
         let mut sharded = ProfileSink::new();
-        let mut s0 = sharded.fork();
-        let mut s1 = sharded.fork();
-        for e in &b {
-            s1.push(e.clone());
+        for e in b.iter().chain(&a) {
+            sharded.push(e.clone());
         }
-        for e in &a {
-            s0.push(e.clone());
-        }
-        // Join in the opposite order to prove order independence.
-        sharded.absorb(s1);
-        sharded.absorb(s0);
 
         assert_eq!(seq.into_normalized(), sharded.into_normalized());
     }

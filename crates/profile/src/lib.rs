@@ -11,10 +11,9 @@
 //! The pieces:
 //!
 //! * [`ProfileSink`] / [`TraceEvent`] / [`Lane`] — an event buffer
-//!   components hold as `Option<ProfileSink>`; disabled profiling is
-//!   one branch on `None` per event. Shards fork fresh sinks and the
-//!   join absorbs them; [`event::normalize`] canonicalizes, so
-//!   sequential and sharded captures export byte-identically.
+//!   (the DRAM device fills one from its command observer at take
+//!   time); [`event::normalize`] canonicalizes, so sequential and
+//!   sharded captures export byte-identically.
 //! * [`JobRecord`] / [`JobPhases`] — the per-job lifecycle phase
 //!   boundaries flat telemetry spans cannot express.
 //! * [`Profile`] — the versioned `PIMPROF01` export, which is at the

@@ -30,10 +30,9 @@
 use crate::backend::{Backend, CostEstimate, JobQueue};
 use crate::error::RuntimeError;
 use crate::job::{Completion, Job, JobId, JobOutput, JobReport};
-use pim_ambit::{AmbitConfig, AmbitError, AmbitSystem};
+use pim_ambit::{AmbitConfig, AmbitError, AmbitSystem, BulkVec};
 use pim_core::SiteModel;
-use pim_dram::CommandKind;
-use pim_dram::{CommandCounts, DramSpec, TraceRecord};
+use pim_dram::{CommandCounts, CommandKind, DramSpec, Observer, Projection, TraceRecord};
 use pim_profile::{Cycle, JobPhases, ProfileSink};
 use pim_telemetry::{ExecSpan, TelemetrySink, POW2_BOUNDS};
 use pim_workloads::{BitSlicedIntVec, BitVec, BulkOp};
@@ -46,6 +45,31 @@ pub const DEFAULT_CAPACITY: usize = 256;
 /// One member of a coalesced group: `(id, a, optional b)`.
 type GroupMember = (JobId, Arc<BitVec>, Option<Arc<BitVec>>);
 
+/// Allocates one `bits`-long vector per entry of `data` (writing the
+/// payload where one is given), runs `f` over them, and frees them all
+/// again — also when an allocation, a write or `f` fails.
+fn with_staged<T>(
+    sys: &mut AmbitSystem,
+    bits: usize,
+    data: &[Option<&BitVec>],
+    f: impl FnOnce(&mut AmbitSystem, &[BulkVec]) -> Result<T, AmbitError>,
+) -> Result<T, AmbitError> {
+    let mut staged = Vec::with_capacity(data.len());
+    let res = (|| {
+        for payload in data {
+            staged.push(sys.alloc(bits)?);
+            if let Some(payload) = payload {
+                sys.write(&staged[staged.len() - 1], payload)?;
+            }
+        }
+        f(sys, &staged)
+    })();
+    for v in staged {
+        sys.free(v);
+    }
+    res
+}
+
 /// [`AmbitSystem`] behind the [`Backend`] trait.
 #[derive(Debug)]
 pub struct AmbitBackend {
@@ -56,15 +80,16 @@ pub struct AmbitBackend {
     coalesce: bool,
     total_banks: usize,
     row_bits: usize,
-    /// Engine-clock execute windows recorded while telemetry or
-    /// profiling is on, drained by [`Backend::take_exec_spans`].
-    exec_spans: Vec<(JobId, ExecSpan)>,
-    /// Engine clock at each pending job's submit, recorded while
-    /// profiling is on (queue-wait attribution).
+    /// Engine clock at each pending job's submit (queue-wait
+    /// attribution), recorded while jobs are observed.
     submit_clocks: BTreeMap<JobId, Cycle>,
-    /// Per-job lifecycle phases recorded while profiling is on, drained
-    /// by [`Backend::take_job_phases`].
-    job_phases: Vec<(JobId, JobPhases)>,
+    /// One record per executed job — its phases on the engine clock and
+    /// the size of the batch it ran in — kept while telemetry or
+    /// profiling is on. [`Backend::take_exec_spans`] and
+    /// [`Backend::take_job_phases`] each project the records since their
+    /// own last take (`jobs_read`); records both have read are dropped.
+    jobs: Vec<(JobId, JobPhases, u32)>,
+    jobs_read: [usize; 2],
 }
 
 impl AmbitBackend {
@@ -95,9 +120,9 @@ impl AmbitBackend {
             coalesce,
             total_banks,
             row_bits,
-            exec_spans: Vec::new(),
             submit_clocks: BTreeMap::new(),
-            job_phases: Vec::new(),
+            jobs: Vec::new(),
+            jobs_read: [0; 2],
         }
     }
 
@@ -122,10 +147,65 @@ impl AmbitBackend {
         len_bits.div_ceil(self.row_bits).max(1)
     }
 
+    /// `true` while telemetry or profiling is on: jobs are recorded.
+    fn observing_jobs(&mut self) -> bool {
+        self.sys
+            .observer_mut()
+            .is_some_and(|o| o.enabled(Projection::Telemetry) || o.enabled(Projection::Profile))
+    }
+
+    /// Switches one projection on the engine and starts a fresh window
+    /// of job records.
+    fn observe(&mut self, projection: Projection, enabled: bool) {
+        self.sys.observe(projection, enabled);
+        self.submit_clocks.clear();
+        self.jobs.clear();
+        self.jobs_read = [0; 2];
+    }
+
+    /// Records one executed job; its queue wait runs from its submit
+    /// clock (or `batch_start`, when submitted before observation began).
+    fn record_job(
+        &mut self,
+        id: JobId,
+        batch_start: Cycle,
+        (exec_start, exec_end): (Cycle, Cycle),
+        drain_end: Cycle,
+        group: u32,
+    ) {
+        let submit = self.submit_clocks.remove(&id).unwrap_or(batch_start);
+        let phases = JobPhases {
+            submit,
+            batch_start,
+            exec_start,
+            exec_end,
+            drain_end,
+        };
+        self.jobs.push((id, phases, group));
+    }
+
+    /// Projects the job records take `which` has not read yet, then drops
+    /// the prefix both takes have read.
+    fn take_jobs<T>(
+        &mut self,
+        which: usize,
+        project: impl Fn(&(JobId, JobPhases, u32)) -> T,
+    ) -> Vec<T> {
+        let out = self.jobs[self.jobs_read[which]..]
+            .iter()
+            .map(project)
+            .collect();
+        self.jobs_read[which] = self.jobs.len();
+        let both = self.jobs_read[0].min(self.jobs_read[1]);
+        self.jobs.drain(..both);
+        self.jobs_read = self.jobs_read.map(|r| r - both);
+        out
+    }
+
     /// Executes one coalesced group of same-`op` single-step jobs whose
     /// chunk total fits the bank count. `members` are `(id, a, b)`.
     fn run_group(&mut self, op: BulkOp, members: &[GroupMember]) -> Result<(), RuntimeError> {
-        let profile_on = self.sys.profile_enabled();
+        let observing = self.observing_jobs();
         // Queue wait ends and staging (operand placement) begins here.
         let batch_start = self.sys.clock();
         let row_words = self.row_bits / 64;
@@ -155,43 +235,28 @@ impl AmbitBackend {
             Some(concat(&|m| m.2.as_deref().expect("binary operands")))
         };
 
-        let a_vec = self.sys.alloc(total_bits).map_err(|e| self.engine_err(e))?;
-        let b_vec = match &b_cat {
-            Some(_) => Some(self.sys.alloc(total_bits).map_err(|e| self.engine_err(e))?),
-            None => None,
-        };
-        let out_vec = self.sys.alloc(total_bits).map_err(|e| self.engine_err(e))?;
-        self.sys
-            .write(&a_vec, &a_cat)
-            .map_err(|e| self.engine_err(e))?;
-        if let (Some(bv), Some(bc)) = (&b_vec, &b_cat) {
-            self.sys.write(bv, bc).map_err(|e| self.engine_err(e))?;
+        // Operands, then the output; results come back to the host before
+        // the staged rows are freed.
+        let mut data = vec![Some(&a_cat)];
+        if let Some(b) = &b_cat {
+            data.push(Some(b));
         }
-
-        let start = self.sys.clock();
-        let counts_before = *self.sys.counts();
-        let batched_before = self.sys.batched_commands();
-        self.sys
-            .execute(op, &a_vec, b_vec.as_ref(), &out_vec)
+        data.push(None);
+        let (start, delta, ends, out_cat) =
+            with_staged(&mut self.sys, total_bits, &data, |sys, staged| {
+                let (out, ins) = staged.split_last().expect("an output vector");
+                let start = sys.clock();
+                let counts_before = *sys.counts();
+                sys.execute(op, &ins[0], ins.get(1), out)?;
+                let delta = sys.counts().since(&counts_before);
+                Ok((start, delta, sys.last_chunk_ends().to_vec(), sys.read(out)))
+            })
             .map_err(|e| self.engine_err(e))?;
-        let delta = self.sys.counts().since(&counts_before);
-        debug_assert!(
-            !self.sys.batch_issue_enabled() || self.sys.batched_commands() >= batched_before,
-            "batched-command counter is monotonic"
-        );
-        let ends: Vec<_> = self.sys.last_chunk_ends().to_vec();
-        let out_cat = self.sys.read(&out_vec);
-
-        self.sys.free(a_vec);
-        if let Some(bv) = b_vec {
-            self.sys.free(bv);
-        }
-        self.sys.free(out_vec);
         // Results are back on the host; the batch closes here for every
         // member (read-back is a whole-batch operation).
         let drain_end = self.sys.clock();
 
-        if let Some(tel) = self.sys.telemetry_mut() {
+        if let Some(tel) = self.sys.observer_mut().and_then(Observer::telemetry) {
             tel.count("coalesce.groups", 0, 1);
             tel.observe("coalesce.batch_jobs", 0, POW2_BOUNDS, members.len() as u64);
             tel.observe("coalesce.batch_chunks", 0, POW2_BOUNDS, total_chunks as u64);
@@ -201,7 +266,6 @@ impl AmbitBackend {
             // are sharded across worker threads, so a series would break
             // snapshot thread-invariance.
         }
-        let telemetry_on = self.sys.telemetry_enabled();
 
         let out_words = out_cat.as_words();
         for (m, &off) in members.iter().zip(&offsets) {
@@ -225,28 +289,9 @@ impl AmbitBackend {
                 debug_assert_eq!(n % total_chunks as u64, 0, "homogeneous per-chunk commands");
                 commands.record_n(kind, (n / total_chunks as u64) * chunks as u64);
             }
-            if telemetry_on || profile_on {
-                self.exec_spans.push((
-                    *id,
-                    ExecSpan {
-                        start,
-                        end,
-                        group: members.len() as u32,
-                    },
-                ));
-            }
-            if profile_on {
-                let submit = self.submit_clocks.remove(id).unwrap_or(batch_start);
-                self.job_phases.push((
-                    *id,
-                    JobPhases {
-                        submit,
-                        batch_start,
-                        exec_start: start,
-                        exec_end: end,
-                        drain_end,
-                    },
-                ));
+            if observing {
+                let group = members.len() as u32;
+                self.record_job(*id, batch_start, (start, end), drain_end, group);
             }
             let report = JobReport {
                 backend: self.name.clone(),
@@ -266,8 +311,7 @@ impl AmbitBackend {
 
     /// Executes one job alone (the non-coalescible path).
     fn run_single(&mut self, id: JobId, job: Job) -> Result<(), RuntimeError> {
-        let telemetry_on = self.sys.telemetry_enabled();
-        let profile_on = self.sys.profile_enabled();
+        let observing = self.observing_jobs();
         let start = self.sys.clock();
         let (output, report) = match job {
             Job::Bitwise { plan, inputs } => {
@@ -283,30 +327,25 @@ impl AmbitBackend {
                 };
                 (output, r)
             }
-            Job::RowCopy { data, psm } => {
-                let src = self.sys.alloc(data.len()).map_err(|e| self.engine_err(e))?;
-                let dst = self.sys.alloc(data.len()).map_err(|e| self.engine_err(e))?;
-                self.sys
-                    .write(&src, &data)
-                    .map_err(|e| self.engine_err(e))?;
-                let r = if psm {
-                    self.sys.copy_psm(&src, &dst)
-                } else {
-                    self.sys.copy(&src, &dst)
-                }
-                .map_err(|e| self.engine_err(e))?;
-                let out = self.sys.read(&dst);
-                self.sys.free(src);
-                self.sys.free(dst);
-                (JobOutput::Bits(out), r)
-            }
-            Job::RowInit { bits, ones } => {
-                let dst = self.sys.alloc(bits).map_err(|e| self.engine_err(e))?;
-                let r = self.sys.fill(&dst, ones).map_err(|e| self.engine_err(e))?;
-                let out = self.sys.read(&dst);
-                self.sys.free(dst);
-                (JobOutput::Bits(out), r)
-            }
+            Job::RowCopy { data, psm } => with_staged(
+                &mut self.sys,
+                data.len(),
+                &[Some(&*data), None],
+                |sys, v| {
+                    let r = if psm {
+                        sys.copy_psm(&v[0], &v[1])
+                    } else {
+                        sys.copy(&v[0], &v[1])
+                    }?;
+                    Ok((JobOutput::Bits(sys.read(&v[1])), r))
+                },
+            )
+            .map_err(|e| self.engine_err(e))?,
+            Job::RowInit { bits, ones } => with_staged(&mut self.sys, bits, &[None], |sys, v| {
+                let r = sys.fill(&v[0], ones)?;
+                Ok((JobOutput::Bits(sys.read(&v[0])), r))
+            })
+            .map_err(|e| self.engine_err(e))?,
             Job::SimdProgram { program, inputs } => {
                 let refs: Vec<&BitSlicedIntVec> = inputs.iter().map(|v| v.as_ref()).collect();
                 let (outs, r) =
@@ -326,31 +365,11 @@ impl AmbitBackend {
             }
         };
         let end = self.sys.clock();
-        if telemetry_on || profile_on {
-            self.exec_spans.push((
-                id,
-                ExecSpan {
-                    start,
-                    end,
-                    group: 1,
-                },
-            ));
-        }
-        if profile_on {
+        if observing {
             // A solo run stages inside its own execute window (operand
             // writes are part of the plan), so batch/stage collapse onto
             // the window edges.
-            let submit = self.submit_clocks.remove(&id).unwrap_or(start);
-            self.job_phases.push((
-                id,
-                JobPhases {
-                    submit,
-                    batch_start: start,
-                    exec_start: start,
-                    exec_end: end,
-                    drain_end: end,
-                },
-            ));
+            self.record_job(id, start, (start, end), end, 1);
         }
         self.queue.finish(Completion {
             id,
@@ -470,7 +489,7 @@ impl Backend for AmbitBackend {
             });
         }
         self.queue.push(&self.name.clone(), id, job)?;
-        if self.sys.profile_enabled() {
+        if self.observing_jobs() {
             self.submit_clocks.insert(id, self.sys.clock());
         }
         Ok(())
@@ -540,26 +559,26 @@ impl Backend for AmbitBackend {
     }
 
     fn set_telemetry(&mut self, enabled: bool) {
-        self.sys.set_telemetry(enabled);
-        self.exec_spans.clear();
+        self.observe(Projection::Telemetry, enabled);
     }
 
     fn take_telemetry(&mut self) -> Option<TelemetrySink> {
-        self.sys.take_telemetry()
+        self.sys.observer_mut().and_then(Observer::take_telemetry)
     }
 
     fn take_exec_spans(&mut self) -> Vec<(JobId, ExecSpan)> {
-        std::mem::take(&mut self.exec_spans)
+        self.take_jobs(0, |&(id, p, group)| {
+            let (start, end) = (p.exec_start, p.exec_end);
+            (id, ExecSpan { start, end, group })
+        })
     }
 
     fn set_profile(&mut self, enabled: bool) {
-        self.sys.set_profile(enabled);
-        self.submit_clocks.clear();
-        self.job_phases.clear();
+        self.observe(Projection::Profile, enabled);
     }
 
     fn take_profile(&mut self) -> Option<ProfileSink> {
-        self.sys.take_profile()
+        self.sys.observer_mut().and_then(Observer::take_profile)
     }
 
     fn profile_ns_per_cycle(&self) -> Option<f64> {
@@ -567,7 +586,7 @@ impl Backend for AmbitBackend {
     }
 
     fn take_job_phases(&mut self) -> Vec<(JobId, JobPhases)> {
-        std::mem::take(&mut self.job_phases)
+        self.take_jobs(1, |&(id, phases, _)| (id, phases))
     }
 
     fn take_queue_high_water(&mut self) -> usize {

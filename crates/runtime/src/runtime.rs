@@ -58,14 +58,6 @@ pub struct BackendStats {
     pub completed: u64,
 }
 
-/// Runtime-level profiling capture: job records opened at submit,
-/// closed at drain, and drained by [`Runtime::take_profile`].
-#[derive(Debug, Default)]
-struct ProfileCapture {
-    pending: BTreeMap<JobId, JobRecord>,
-    finished: Vec<JobRecord>,
-}
-
 /// The batching job runtime over a fleet of [`Backend`]s.
 #[derive(Default)]
 pub struct Runtime {
@@ -75,11 +67,13 @@ pub struct Runtime {
     /// Runtime-level telemetry (spans + placement metrics); `None` means
     /// disabled and every hot path reduces to one branch.
     telemetry: Option<TelemetrySink>,
-    /// Spans opened at submit, closed (moved into `telemetry`) at drain.
-    pending_spans: BTreeMap<JobId, JobSpan>,
-    /// Cycle-domain profiling capture; `None` means disabled and every
-    /// hot path reduces to one branch.
-    profile: Option<ProfileCapture>,
+    /// Closed job records awaiting [`Runtime::take_profile`]; `None`
+    /// means profiling is disabled.
+    profile: Option<Vec<JobRecord>>,
+    /// One record per job submitted while telemetry or profiling is on:
+    /// opened at submit, closed at drain into a telemetry span and/or a
+    /// profile record.
+    pending: BTreeMap<JobId, JobRecord>,
 }
 
 impl std::fmt::Debug for Runtime {
@@ -253,42 +247,20 @@ impl Runtime {
         let decision = self.place(&job, &placement)?;
         let idx = self.backend_index(&decision.backend)?;
         let id = self.next_id;
-        // Open the job's telemetry span and profiling record before `job`
-        // moves into the queue; the estimate recorded here is exactly
-        // what the advisor priced.
-        let est = if self.telemetry.is_some() || self.profile.is_some() {
-            self.backends[idx].estimate(&job).ok()
-        } else {
-            None
-        };
-        let advised = match &placement {
-            Placement::Advised(_) => Some(decision.advised.is_some()),
-            Placement::Forced(_) => None,
-        };
-        let span = if self.telemetry.is_some() {
-            Some(JobSpan {
+        // Open the job's record before `job` moves into the queue; the
+        // estimate recorded here is exactly what the advisor priced.
+        let observing = self.telemetry.is_some() || self.profile.is_some();
+        let record = observing.then(|| {
+            let est = self.backends[idx].estimate(&job).ok();
+            JobRecord {
                 id,
                 kind: job.kind().to_string(),
                 backend: decision.backend.clone(),
                 queue_depth: 0, // filled in once the push succeeds
-                advised,
-                est_ns: est.as_ref().map_or(0.0, |e| e.ns),
-                est_nj: est.as_ref().map_or(0.0, |e| e.energy_nj()),
-                actual_ns: 0.0,
-                actual_nj: 0.0,
-                commands: 0,
-                exec: None,
-            })
-        } else {
-            None
-        };
-        let record = if self.profile.is_some() {
-            Some(JobRecord {
-                id,
-                kind: job.kind().to_string(),
-                backend: decision.backend.clone(),
-                queue_depth: 0, // filled in once the push succeeds
-                advised,
+                advised: match &placement {
+                    Placement::Advised(_) => Some(decision.advised.is_some()),
+                    Placement::Forced(_) => None,
+                },
                 est_ns: est.as_ref().map_or(0.0, |e| e.ns),
                 est_nj: est.as_ref().map_or(0.0, |e| e.energy_nj()),
                 actual_ns: 0.0,
@@ -296,10 +268,8 @@ impl Runtime {
                 commands: 0,
                 group: 1,
                 phases: None,
-            })
-        } else {
-            None
-        };
+            }
+        });
         if let Err(e) = self.backends[idx].submit(id, job) {
             if let Some(tel) = &mut self.telemetry {
                 tel.count("runtime.rejected", idx as u32, 1);
@@ -307,18 +277,14 @@ impl Runtime {
             return Err(e);
         }
         self.next_id += 1;
-        let depth = self.backends[idx].queue_depth();
-        if let Some(mut span) = span {
-            span.queue_depth = depth as u32;
-            let tel = self.telemetry.as_mut().expect("telemetry opened the span");
-            tel.count("runtime.jobs", idx as u32, 1);
-            tel.gauge("runtime.queue_depth", idx as u32, depth as u64);
-            self.pending_spans.insert(id, span);
-        }
         if let Some(mut record) = record {
+            let depth = self.backends[idx].queue_depth();
             record.queue_depth = depth as u32;
-            let prof = self.profile.as_mut().expect("profiling opened the record");
-            prof.pending.insert(id, record);
+            if let Some(tel) = &mut self.telemetry {
+                tel.count("runtime.jobs", idx as u32, 1);
+                tel.gauge("runtime.queue_depth", idx as u32, depth as u64);
+            }
+            self.pending.insert(id, record);
         }
         self.decisions.push((id, decision));
         Ok(id)
@@ -349,53 +315,53 @@ impl Runtime {
         Ok(done)
     }
 
-    /// Closes each completed job's pending telemetry span and profiling
-    /// record — measured time, energy, command count, the engine-clock
-    /// execute window, and (for profiling) the lifecycle phase
-    /// boundaries — and attributes its energy breakdown to per-backend
-    /// `energy.*` series. Completions arrive sorted by id and spans are
-    /// filed in that order, so the span stream is independent of backend
+    /// Closes each completed job's pending record — measured time,
+    /// energy, command count, and the backend's engine-clock execute
+    /// window and lifecycle phases — then files it as a telemetry span
+    /// (attributing its energy breakdown to per-backend `energy.*` series)
+    /// and/or a profile record. Completions arrive sorted by id and are
+    /// filed in that order, so both streams are independent of backend
     /// iteration and thread count.
     fn close_jobs(&mut self, done: &[Completion]) {
         let mut exec: BTreeMap<JobId, ExecSpan> = BTreeMap::new();
+        let mut phases: BTreeMap<JobId, JobPhases> = BTreeMap::new();
         for b in &mut self.backends {
             exec.extend(b.take_exec_spans());
+            phases.extend(b.take_job_phases());
         }
-        let mut phases: BTreeMap<JobId, JobPhases> = BTreeMap::new();
-        if self.profile.is_some() {
-            for b in &mut self.backends {
-                phases.extend(b.take_job_phases());
-            }
-        }
-        let names: Vec<String> = self.backends.iter().map(|b| b.name().to_string()).collect();
-        if let Some(tel) = &mut self.telemetry {
-            for c in done {
-                let Some(mut span) = self.pending_spans.remove(&c.id) else {
-                    continue;
-                };
-                span.actual_ns = c.report.ns;
-                span.actual_nj = c.report.energy.total_nj();
-                span.commands = c.report.commands.as_ref().map_or(0, |cc| cc.total());
-                span.exec = exec.get(&c.id).copied();
-                let idx = names
+        for c in done {
+            let Some(mut record) = self.pending.remove(&c.id) else {
+                continue;
+            };
+            let exec = exec.get(&c.id).copied();
+            record.actual_ns = c.report.ns;
+            record.actual_nj = c.report.energy.total_nj();
+            record.commands = c.report.commands.as_ref().map_or(0, |cc| cc.total());
+            record.group = exec.map_or(1, |s| s.group);
+            record.phases = phases.get(&c.id).copied();
+            if let Some(tel) = &mut self.telemetry {
+                let idx = self
+                    .backends
                     .iter()
-                    .position(|n| *n == c.report.backend)
+                    .position(|b| b.name() == c.report.backend)
                     .unwrap_or(0) as u32;
                 c.report.energy.record_telemetry(tel, idx);
-                tel.record_span(span);
+                tel.record_span(JobSpan {
+                    id: record.id,
+                    kind: record.kind.clone(),
+                    backend: record.backend.clone(),
+                    queue_depth: record.queue_depth,
+                    advised: record.advised,
+                    est_ns: record.est_ns,
+                    est_nj: record.est_nj,
+                    actual_ns: record.actual_ns,
+                    actual_nj: record.actual_nj,
+                    commands: record.commands,
+                    exec,
+                });
             }
-        }
-        if let Some(prof) = &mut self.profile {
-            for c in done {
-                let Some(mut record) = prof.pending.remove(&c.id) else {
-                    continue;
-                };
-                record.actual_ns = c.report.ns;
-                record.actual_nj = c.report.energy.total_nj();
-                record.commands = c.report.commands.as_ref().map_or(0, |cc| cc.total());
-                record.group = exec.get(&c.id).map_or(1, |s| s.group);
-                record.phases = phases.get(&c.id).copied();
-                prof.finished.push(record);
+            if let Some(finished) = &mut self.profile {
+                finished.push(record);
             }
         }
     }
@@ -465,10 +431,12 @@ impl Runtime {
 
     /// Enables or disables telemetry capture: the runtime's own span and
     /// placement registry, plus every backend's engine-level sink.
-    /// Disabled (the default) costs one branch per submit/drain.
+    /// Disabled (the default) costs one branch per submit/drain. Like
+    /// [`Runtime::set_profile`], switching starts a fresh window of job
+    /// records: jobs still pending are not recorded.
     pub fn set_telemetry(&mut self, enabled: bool) {
         self.telemetry = enabled.then(TelemetrySink::new);
-        self.pending_spans.clear();
+        self.pending.clear();
         for b in &mut self.backends {
             b.set_telemetry(enabled);
         }
@@ -493,9 +461,10 @@ impl Runtime {
     /// lifecycle records (submit → queue-wait → batch → execute →
     /// drain) at the runtime level, plus every backend's engine-level
     /// timeline sink. Disabled (the default) costs one branch per
-    /// submit/drain — the datapath bench gates this.
+    /// submit/drain. Switching starts a fresh window of job records.
     pub fn set_profile(&mut self, enabled: bool) {
-        self.profile = enabled.then(ProfileCapture::default);
+        self.profile = enabled.then(Vec::new);
+        self.pending.clear();
         for b in &mut self.backends {
             b.set_profile(enabled);
         }
@@ -515,7 +484,7 @@ impl Runtime {
     /// is disabled; capture stays enabled after. Jobs submitted but not
     /// yet drained stay pending for the next take.
     pub fn take_profile(&mut self) -> Option<Profile> {
-        let jobs = std::mem::take(&mut self.profile.as_mut()?.finished);
+        let jobs = std::mem::take(self.profile.as_mut()?);
         let mut profile = Profile::new().with_meta("source", "pim-runtime");
         for b in &mut self.backends {
             let mut sink = b.take_profile().unwrap_or_default();

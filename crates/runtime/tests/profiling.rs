@@ -227,11 +227,7 @@ mod shard_invariance {
         let base = with_threads(1, || profiled_json(ShardMode::Sequential, &jobs));
         Profile::validate_json(&base).expect("envelope validates");
         for threads in [1usize, 2, 4, 8] {
-            for mode in [
-                ShardMode::Sequential,
-                ShardMode::BankOnly,
-                ShardMode::ChannelBank,
-            ] {
+            for mode in [ShardMode::Sequential, ShardMode::ChannelBank] {
                 let json = with_threads(threads, || profiled_json(mode, &jobs));
                 assert_eq!(
                     json, base,

@@ -258,6 +258,39 @@ fn rowclone_jobs_round_trip() {
     assert!(done[1].report.ns > 0.0);
 }
 
+/// A job that runs out of rows gives its staged rows back: on a device
+/// with eight data rows, a five-row copy fails (its destination does not
+/// fit next to its source), and a four-row copy that needs all eight
+/// rows runs afterwards.
+#[test]
+fn out_of_rows_job_leaves_the_device_usable() {
+    let mut config = AmbitConfig::ddr3();
+    config.spec.org.channels = 1;
+    config.spec.org.banks = 1;
+    config.spec.org.subarrays = 1;
+    config.spec.org.rows = 16;
+    let row_bits = config.spec.org.row_bits() as usize;
+    let mut rt = ambit_runtime(config);
+    let copy = |data: Arc<BitVec>| Job::RowCopy { data, psm: false };
+
+    rt.submit(
+        copy(patterned(5 * row_bits, 1)),
+        Placement::Forced("ambit".into()),
+    )
+    .unwrap();
+    let err = rt.drain().unwrap_err();
+    assert!(
+        matches!(&err, RuntimeError::Engine { message, .. } if message.contains("rows exhausted")),
+        "{err}"
+    );
+
+    let data = patterned(4 * row_bits, 2);
+    rt.submit(copy(data.clone()), Placement::Forced("ambit".into()))
+        .unwrap();
+    let done = rt.drain().expect("the fitting job runs");
+    assert_eq!(done[0].output.bits().unwrap(), data.as_ref());
+}
+
 /// Advised placement offloads memory-bound work and keeps compute-bound
 /// work on the host.
 #[test]

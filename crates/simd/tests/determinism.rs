@@ -1,14 +1,14 @@
 //! Compiled-program determinism across shard modes and thread counts:
 //! the same μprogram on a 2-channel, 2-rank device must produce
 //! byte-identical outputs, normalized trace bytes, and telemetry
-//! snapshots whether the engine replays it sequentially, bank-sharded,
-//! or channel-then-bank sharded — at 1, 2, 4, or 8 worker threads — and
+//! snapshots whether the engine replays it sequentially or
+//! channel-then-bank sharded — at 1, 2, 4, or 8 worker threads — and
 //! every captured trace must pass the pim-check protocol oracle.
 
 #![cfg(feature = "parallel")]
 
 use pim_ambit::{AmbitConfig, AmbitSystem, ShardMode};
-use pim_dram::DramSpec;
+use pim_dram::{DramSpec, Observer, Projection};
 use pim_simd::{CompiledProgram, Compiler, OpGraph};
 use pim_telemetry::Snapshot;
 use pim_workloads::BitSlicedIntVec;
@@ -47,12 +47,12 @@ fn run_program(
     let mut sys = AmbitSystem::new(two_channel_config());
     sys.set_shard_mode(mode);
     sys.set_trace(true);
-    sys.set_telemetry(true);
+    sys.observe(Projection::Telemetry, true);
     let (outs, _report) = program.execute(&mut sys, inputs).expect("execute");
     let spec = sys.spec().clone();
     let trace = pim_check::Trace::capture(spec, sys.take_trace()).to_bytes();
-    let telemetry =
-        Snapshot::from_sink(sys.take_telemetry().expect("telemetry on")).to_json_string();
+    let sink = sys.observer_mut().and_then(Observer::take_telemetry);
+    let telemetry = Snapshot::from_sink(sink.expect("telemetry on")).to_json_string();
     RunFingerprint {
         outs: outs.iter().map(BitSlicedIntVec::to_values).collect(),
         trace,
@@ -87,8 +87,8 @@ fn workload() -> (CompiledProgram, Vec<BitSlicedIntVec>) {
     (program, inputs)
 }
 
-/// The headline invariant: sequential, bank-sharded, and channel-sharded
-/// replay of one compiled μprogram are indistinguishable in outputs,
+/// The headline invariant: sequential and channel-sharded replay of one
+/// compiled μprogram are indistinguishable in outputs,
 /// trace bytes, and telemetry at every thread count, and the reference
 /// trace passes the protocol oracle.
 #[test]
@@ -117,11 +117,7 @@ fn compiled_programs_are_shard_and_thread_invariant() {
     )
     .expect("oracle accepts the sequential compiled-program trace");
 
-    for mode in [
-        ShardMode::Sequential,
-        ShardMode::BankOnly,
-        ShardMode::ChannelBank,
-    ] {
+    for mode in [ShardMode::Sequential, ShardMode::ChannelBank] {
         for threads in [1usize, 2, 4, 8] {
             let run = with_threads(threads, || run_program(mode, &program, &refs));
             assert_eq!(run.outs, base.outs, "outputs: {mode:?} @ {threads}");

@@ -116,8 +116,8 @@ impl Metric {
 
 /// The telemetry handle a component records into.
 ///
-/// Modeled on `pim-dram`'s `TraceSink`: components hold an
-/// `Option<TelemetrySink>`, so disabled telemetry costs one branch per
+/// Components hold an `Option<TelemetrySink>` (the DRAM device's inside
+/// its command observer), so disabled telemetry costs one branch per
 /// event site and allocates nothing. [`TelemetrySink::fork`] hands a
 /// bank/vault shard an empty sink; [`TelemetrySink::merge`] folds it
 /// back — all merge operations are commutative and associative, so the

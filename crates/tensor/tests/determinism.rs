@@ -116,7 +116,7 @@ proptest! {
         let untiled = run(&mut ambit_session(ShardMode::Sequential, 0), &av, &bv);
         prop_assert_eq!(&untiled, &want);
 
-        for mode in [ShardMode::Sequential, ShardMode::BankOnly, ShardMode::ChannelBank] {
+        for mode in [ShardMode::Sequential, ShardMode::ChannelBank] {
             let mut sess = ambit_session(mode, tile);
             sess.runtime_mut().set_trace(true);
             let tiled = run(&mut sess, &av, &bv);
@@ -183,11 +183,7 @@ mod thread_invariance {
     /// pool size, in any shard mode.
     #[test]
     fn results_and_telemetry_identical_across_thread_counts() {
-        for mode in [
-            ShardMode::Sequential,
-            ShardMode::BankOnly,
-            ShardMode::ChannelBank,
-        ] {
+        for mode in [ShardMode::Sequential, ShardMode::ChannelBank] {
             let base = with_threads(1, || run_with_telemetry(mode));
             assert!(base.1.iter().any(|&(_, v)| v > 0), "counters recorded");
             for threads in [2usize, 4, 8] {

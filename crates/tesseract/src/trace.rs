@@ -21,7 +21,9 @@
 
 use crate::config::TesseractConfig;
 use crate::engine::ExecutionTrace;
-use pim_dram::{Command, Cycle, Device, DramSpec, Result, RowId, TraceRecord};
+use pim_dram::{
+    Command, Cycle, Device, DramSpec, Observer, Projection, Result, RowId, TraceRecord,
+};
 
 /// Lowers `vault`'s traffic from `trace` into a captured DRAM command
 /// stream on the stack's vault spec. Returns the spec the commands ran
@@ -44,7 +46,7 @@ pub fn vault_command_trace(
     assert!(max_rows_per_superstep > 0, "need a nonzero sampling budget");
     let spec = cfg.stack.vault_spec.clone();
     let mut dev = Device::new(spec.clone());
-    dev.set_trace(true);
+    dev.observe(Projection::Trace, true);
     let mut sched = VaultScheduler::new(&spec);
     for ss in &trace.supersteps {
         let Some(counts) = ss.vaults.get(vault) else {
@@ -63,7 +65,8 @@ pub fn vault_command_trace(
         let msg_rows = (counts.msgs_in() * cfg.msg_bytes).div_ceil(row_bytes.max(1));
         sched.message_writes(&mut dev, cap(msg_rows, max_rows_per_superstep))?;
     }
-    Ok((spec, dev.take_trace()))
+    let records = dev.observer_mut().map(Observer::take_trace);
+    Ok((spec, records.unwrap_or_default()))
 }
 
 fn cap(n: u64, max: usize) -> usize {
