@@ -1518,6 +1518,26 @@ impl AmbitSystem {
                 inputs.len()
             )));
         }
+        let mut regs: Vec<Option<BulkVec>> = vec![None; plan.regs()];
+        let result = self.run_plan_regs(plan, inputs, &mut regs);
+        // Outputs (and any register a degenerate plan left alive) are dead
+        // once read back, and every live register is dead once a step
+        // fails; reclaim their rows so a long-lived engine can run an
+        // unbounded stream of plans without exhausting subarrays.
+        for v in regs.into_iter().flatten() {
+            self.free(v);
+        }
+        result
+    }
+
+    /// The body of [`AmbitSystem::run_plan_multi`] over caller-owned
+    /// registers, which the caller frees on success and error alike.
+    fn run_plan_regs(
+        &mut self,
+        plan: &BitwisePlan,
+        inputs: &[&BitVec],
+        regs: &mut [Option<BulkVec>],
+    ) -> Result<(Vec<BitVec>, ExecReport)> {
         let len = inputs.first().map_or(0, |v| v.len());
 
         // Register liveness: the step index after which each register is
@@ -1542,38 +1562,38 @@ impl AmbitSystem {
         let immortal: std::collections::HashSet<usize> =
             plan.outputs().iter().map(|o| o.0).collect();
 
-        let mut regs: Vec<Option<BulkVec>> = vec![None; plan.regs()];
-        for (i, bits) in inputs.iter().enumerate() {
-            let v = self.alloc(len)?;
-            self.write(&v, bits)?;
-            regs[i] = Some(v);
+        for (reg, bits) in regs.iter_mut().zip(inputs) {
+            let v = reg.insert(self.alloc(len)?);
+            self.write(v, bits)?;
         }
         let mut total: Option<ExecReport> = None;
         for (i, step) in plan.steps().iter().enumerate() {
             let dst_vec = self.alloc(len)?;
+            let reg = |r: Reg| regs[r.0].as_ref().expect("validated plan");
             let report = match *step {
-                PlanStep::Unary { a, .. } => {
-                    let av = regs[a.0].clone().expect("validated plan");
-                    self.execute(BulkOp::Not, &av, None, &dst_vec)?
-                }
+                PlanStep::Unary { a, .. } => self.execute(BulkOp::Not, reg(a), None, &dst_vec),
                 PlanStep::Binary { op, a, b, .. } => {
-                    let av = regs[a.0].clone().expect("validated plan");
-                    let bv = regs[b.0].clone().expect("validated plan");
-                    self.execute(op, &av, Some(&bv), &dst_vec)?
+                    self.execute(op, reg(a), Some(reg(b)), &dst_vec)
                 }
-                PlanStep::Const { ones, .. } => self.fill(&dst_vec, ones)?,
-                PlanStep::Maj { a, b, c, .. } => {
-                    let av = regs[a.0].clone().expect("validated plan");
-                    let bv = regs[b.0].clone().expect("validated plan");
-                    let cv = regs[c.0].clone().expect("validated plan");
-                    self.execute_maj(&av, &bv, &cv, &dst_vec)?
+                PlanStep::Const { ones, .. } => self.fill(&dst_vec, ones),
+                PlanStep::Maj { a, b, c, .. } => self.execute_maj(reg(a), reg(b), reg(c), &dst_vec),
+            };
+            let report = match report {
+                Ok(report) => report,
+                Err(e) => {
+                    self.free(dst_vec);
+                    return Err(e);
                 }
             };
             match &mut total {
                 None => total = Some(report),
                 Some(t) => t.merge_sequential(&report),
             }
-            regs[step.dst().0] = Some(dst_vec);
+            // A hand-built plan may redefine a register; its old value is
+            // unreachable from here on.
+            if let Some(old) = regs[step.dst().0].replace(dst_vec) {
+                self.free(old);
+            }
             // Reclaim registers whose last read was this step (but never
             // the value just written, even if a hand-built plan reuses the
             // register it read from).
@@ -1590,12 +1610,6 @@ impl AmbitSystem {
             .iter()
             .map(|o| self.read(regs[o.0].as_ref().expect("validated plan defines outputs")))
             .collect();
-        // Outputs (and any register a degenerate plan left alive) are dead
-        // once read back; reclaim their rows so a long-lived engine can run
-        // an unbounded stream of plans without exhausting subarrays.
-        for v in regs.into_iter().flatten() {
-            self.free(v);
-        }
         let report = total.unwrap_or(ExecReport {
             cycles: 0,
             ns: 0.0,

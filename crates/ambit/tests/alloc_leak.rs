@@ -3,6 +3,7 @@
 //! long-lived engine keeps its full capacity after `OutOfRows`.
 
 use pim_ambit::{AmbitConfig, AmbitError, AmbitSystem};
+use pim_workloads::{BitVec, BulkOp, PlanBuilder};
 
 /// How many `bits`-long vectors fit, freeing them all again.
 fn capacity(sys: &mut AmbitSystem, bits: usize) -> usize {
@@ -35,4 +36,31 @@ fn failed_allocations_give_back_the_rows_they_took() {
             "the failed allocation (shift {shift}) kept rows"
         );
     }
+}
+
+#[test]
+fn failed_plans_give_back_every_register() {
+    let mut sys = AmbitSystem::new(AmbitConfig::ddr3());
+    let org = sys.spec().org;
+    let one_per_arena = sys.row_bits() * (org.total_banks() * org.subarrays) as usize;
+    let fits = capacity(&mut sys, one_per_arena);
+
+    // Two inputs and `fits` simultaneously live `a ^ b` registers, folded
+    // with AND: the last register's allocation runs out of rows.
+    let mut pb = PlanBuilder::new(2);
+    let (a, b) = (pb.input(0), pb.input(1));
+    let live: Vec<_> = (0..fits).map(|_| pb.binary(BulkOp::Xor, a, b)).collect();
+    let folded = live[1..]
+        .iter()
+        .fold(live[0], |acc, &r| pb.binary(BulkOp::And, acc, r));
+    let plan = pb.finish(folded);
+    let x = BitVec::from_fn(one_per_arena, |i| i % 3 == 0);
+    let y = BitVec::from_fn(one_per_arena, |i| i % 5 == 0);
+    let err = sys.run_plan(&plan, &[&x, &y]).unwrap_err();
+    assert!(matches!(err, AmbitError::OutOfRows { .. }), "{err}");
+    assert_eq!(
+        capacity(&mut sys, one_per_arena),
+        fits,
+        "the failed plan kept rows"
+    );
 }

@@ -20,6 +20,18 @@ pub struct CostEstimate {
 }
 
 impl CostEstimate {
+    /// `job`'s [`Job::profile`] priced on `site`'s roofline, with all
+    /// energy attributed to [`Component::Other`].
+    pub(crate) fn roofline(site: &SiteModel, job: &Job) -> Self {
+        let profile = job.profile();
+        let mut energy = EnergyBreakdown::new();
+        energy.add_nj(Component::Other, site.energy_nj(&profile));
+        CostEstimate {
+            ns: site.time_ns(&profile),
+            energy,
+        }
+    }
+
     /// Total predicted energy in nJ.
     pub fn energy_nj(&self) -> f64 {
         self.energy.total_nj()
@@ -88,20 +100,8 @@ pub trait Backend {
     ///
     /// [`RuntimeError::Unsupported`] if the backend cannot run the job.
     fn estimate(&self, job: &Job) -> Result<CostEstimate, RuntimeError> {
-        if !self.supports(job) {
-            return Err(RuntimeError::Unsupported {
-                backend: self.name().to_string(),
-                job: job.kind(),
-            });
-        }
-        let profile = job.profile();
-        let site = self.site();
-        let mut energy = EnergyBreakdown::new();
-        energy.add_nj(Component::Other, site.energy_nj(&profile));
-        Ok(CostEstimate {
-            ns: site.time_ns(&profile),
-            energy,
-        })
+        ensure_supported(self, job)?;
+        Ok(CostEstimate::roofline(self.site(), job))
     }
 
     /// Enqueues a job.
@@ -190,6 +190,28 @@ pub trait Backend {
         self.queue_high_water()
     }
 }
+
+/// `Ok` if `backend` can run `job`.
+///
+/// # Errors
+///
+/// [`RuntimeError::Unsupported`] otherwise.
+pub(crate) fn ensure_supported<B: Backend + ?Sized>(
+    backend: &B,
+    job: &Job,
+) -> Result<(), RuntimeError> {
+    if backend.supports(job) {
+        Ok(())
+    } else {
+        Err(RuntimeError::Unsupported {
+            backend: backend.name().to_string(),
+            job: job.kind(),
+        })
+    }
+}
+
+/// Default submission-queue bound for every backend.
+pub const DEFAULT_CAPACITY: usize = 256;
 
 /// The bounded submission queue all backends share: capacity-checked
 /// submission, FIFO draining, and lifetime counters.

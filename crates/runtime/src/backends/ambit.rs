@@ -27,7 +27,7 @@
 //! any job on a fault-injecting device (`tra_failure_rate > 0`, where the
 //! fault RNG is keyed on absolute chunk indices) dispatch individually.
 
-use crate::backend::{Backend, CostEstimate, JobQueue};
+use crate::backend::{ensure_supported, Backend, CostEstimate, JobQueue, DEFAULT_CAPACITY};
 use crate::error::RuntimeError;
 use crate::job::{Completion, Job, JobId, JobOutput, JobReport};
 use pim_ambit::{AmbitConfig, AmbitError, AmbitSystem, BulkVec};
@@ -38,9 +38,6 @@ use pim_telemetry::{ExecSpan, TelemetrySink, POW2_BOUNDS};
 use pim_workloads::{BitSlicedIntVec, BitVec, BulkOp};
 use std::collections::BTreeMap;
 use std::sync::Arc;
-
-/// Default submission-queue bound for engine-backed backends.
-pub const DEFAULT_CAPACITY: usize = 256;
 
 /// One member of a coalesced group: `(id, a, optional b)`.
 type GroupMember = (JobId, Arc<BitVec>, Option<Arc<BitVec>>);
@@ -441,12 +438,7 @@ impl Backend for AmbitBackend {
     }
 
     fn estimate(&self, job: &Job) -> Result<CostEstimate, RuntimeError> {
-        if !self.supports(job) {
-            return Err(RuntimeError::Unsupported {
-                backend: self.name.clone(),
-                job: job.kind(),
-            });
-        }
+        ensure_supported(self, job)?;
         match job {
             // A compiled program's cost is its command sequence, not a
             // byte stream: project the typed [`pim_simd::CostModel`]
@@ -469,25 +461,12 @@ impl Backend for AmbitBackend {
                     energy: self.sys.price_commands(&counts),
                 })
             }
-            _ => {
-                let profile = job.profile();
-                let mut energy = pim_energy::EnergyBreakdown::new();
-                energy.add_nj(pim_energy::Component::Other, self.site.energy_nj(&profile));
-                Ok(CostEstimate {
-                    ns: self.site.time_ns(&profile),
-                    energy,
-                })
-            }
+            _ => Ok(CostEstimate::roofline(&self.site, job)),
         }
     }
 
     fn submit(&mut self, id: JobId, job: Job) -> Result<(), RuntimeError> {
-        if !self.supports(&job) {
-            return Err(RuntimeError::Unsupported {
-                backend: self.name.clone(),
-                job: job.kind(),
-            });
-        }
+        ensure_supported(self, &job)?;
         self.queue.push(&self.name.clone(), id, job)?;
         if self.observing_jobs() {
             self.submit_clocks.insert(id, self.sys.clock());

@@ -1,11 +1,12 @@
 //! Backend implementations over each execution engine.
 
 pub mod ambit;
-pub mod host;
-pub mod stream;
+pub mod roofline;
 pub mod tesseract;
 
-pub use ambit::{AmbitBackend, DEFAULT_CAPACITY};
-pub use host::{BitwiseRooflineBackend, CpuBackend, GpuBackend, HmcLogicBackend};
-pub use stream::{StreamSiteBackend, StreamSiteConfig};
+pub use ambit::AmbitBackend;
+pub use roofline::{
+    CpuBackend, GpuBackend, HmcLogicBackend, Pricing, RooflineBackend, StreamSiteBackend,
+    StreamSiteConfig,
+};
 pub use tesseract::TesseractBackend;

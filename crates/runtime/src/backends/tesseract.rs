@@ -2,8 +2,7 @@
 //! [`Job::GraphBatch`] runs a kernel to convergence as a batch of
 //! vault-sharded supersteps.
 
-use crate::backend::{Backend, JobQueue};
-use crate::backends::ambit::DEFAULT_CAPACITY;
+use crate::backend::{ensure_supported, Backend, JobQueue, DEFAULT_CAPACITY};
 use crate::error::RuntimeError;
 use crate::job::{Completion, GraphRun, Job, JobId, JobOutput, JobReport};
 use pim_core::SiteModel;
@@ -114,12 +113,7 @@ impl Backend for TesseractBackend {
     }
 
     fn submit(&mut self, id: JobId, job: Job) -> Result<(), RuntimeError> {
-        if !self.supports(&job) {
-            return Err(RuntimeError::Unsupported {
-                backend: self.name.clone(),
-                job: job.kind(),
-            });
-        }
+        ensure_supported(self, &job)?;
         self.queue.push(&self.name.clone(), id, job)?;
         if self.profile.is_some() {
             self.submit_clocks.insert(id, self.clock);

@@ -7,7 +7,9 @@ use pim_dram::CommandCounts;
 use pim_energy::{Component, EnergyBreakdown};
 use pim_simd::CompiledProgram;
 use pim_tesseract::{ExecutionTrace, KernelOutput};
-use pim_workloads::{BitSlicedIntVec, BitVec, BitwisePlan, BulkOp, Graph, KernelKind, PlanBuilder};
+use pim_workloads::{
+    BitSlicedIntVec, BitVec, BitwisePlan, BulkOp, Graph, KernelKind, PlanBuilder, PlanStep,
+};
 use std::sync::Arc;
 
 /// Runtime-assigned job identifier, monotonically increasing per runtime.
@@ -125,7 +127,10 @@ impl Job {
     /// Ambit backend can coalesce with its neighbors.
     pub fn single_op(&self) -> Option<BulkOp> {
         match self {
-            Job::Bitwise { plan, .. } => plan_single_op(plan),
+            Job::Bitwise { plan, .. } if plan.outputs().len() == 1 => match *plan.steps() {
+                [PlanStep::Unary { op, .. }] | [PlanStep::Binary { op, .. }] => Some(op),
+                _ => None,
+            },
             _ => None,
         }
     }
@@ -179,18 +184,6 @@ impl Job {
             }
         };
         KernelProfile::new(bytes, ops).expect("job profiles are finite and non-negative")
-    }
-}
-
-/// The operation of a one-step, one-output bitwise plan, if it is one.
-pub(crate) fn plan_single_op(plan: &BitwisePlan) -> Option<BulkOp> {
-    if plan.outputs().len() != 1 {
-        return None;
-    }
-    match *plan.steps() {
-        [pim_workloads::PlanStep::Unary { op, .. }]
-        | [pim_workloads::PlanStep::Binary { op, .. }] => Some(op),
-        _ => None,
     }
 }
 

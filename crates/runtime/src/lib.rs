@@ -1,11 +1,14 @@
 //! # pim-runtime — the batching job runtime
 //!
-//! Every execution engine in the workspace — the Ambit in-DRAM bitwise
-//! engine, the Tesseract graph stack, the host CPU/GPU rooflines, the
-//! HMC logic layer, and abstract streaming sites — sits behind one
-//! [`Backend`] trait here. Work is expressed as [`Job`]s (bulk-bitwise
-//! programs, row copies/initializations, graph superstep batches,
-//! streaming kernels), submitted to a [`Runtime`] that owns bounded
+//! Every execution engine in the workspace sits behind one [`Backend`]
+//! trait here, in three implementations: the Ambit in-DRAM bitwise
+//! engine ([`AmbitBackend`]), the Tesseract graph stack
+//! ([`TesseractBackend`]), and one [`RooflineBackend`] for every site
+//! with no simulated device — the host CPU, the GPU, the HMC logic layer
+//! and the consumer-SoC streaming sites, each a [`Pricing`] model over
+//! the same functional evaluation. Work is expressed as [`Job`]s
+//! (bulk-bitwise programs, row copies/initializations, graph superstep
+//! batches, streaming kernels), submitted to a [`Runtime`] that owns bounded
 //! per-backend queues with backpressure, and placed either by the
 //! pim-core offload advisor ([`Placement::Advised`]) or by explicit
 //! override ([`Placement::Forced`]) for A/B studies.
@@ -49,10 +52,10 @@ pub mod error;
 pub mod job;
 mod runtime;
 
-pub use backend::{Backend, CostEstimate, JobQueue};
+pub use backend::{Backend, CostEstimate, JobQueue, DEFAULT_CAPACITY};
 pub use backends::{
-    AmbitBackend, BitwiseRooflineBackend, CpuBackend, GpuBackend, HmcLogicBackend,
-    StreamSiteBackend, StreamSiteConfig, TesseractBackend, DEFAULT_CAPACITY,
+    AmbitBackend, CpuBackend, GpuBackend, HmcLogicBackend, Pricing, RooflineBackend,
+    StreamSiteBackend, StreamSiteConfig, TesseractBackend,
 };
 pub use error::RuntimeError;
 pub use job::{Completion, GraphRun, Job, JobId, JobOutput, JobReport};

@@ -291,6 +291,57 @@ fn out_of_rows_job_leaves_the_device_usable() {
     assert_eq!(done[0].output.bits().unwrap(), data.as_ref());
 }
 
+/// A multi-step plan that runs out of rows gives back every register it
+/// held: on the same eight-row device, two inputs and seven live `a ^ b`
+/// registers do not fit, and a three-row plan runs afterwards.
+#[test]
+fn out_of_rows_plan_leaves_the_device_usable() {
+    let mut config = AmbitConfig::ddr3();
+    config.spec.org.channels = 1;
+    config.spec.org.banks = 1;
+    config.spec.org.subarrays = 1;
+    config.spec.org.rows = 16;
+    let row_bits = config.spec.org.row_bits() as usize;
+    let mut rt = ambit_runtime(config);
+    let (a, b) = (patterned(row_bits, 1), patterned(row_bits, 2));
+
+    let mut pb = PlanBuilder::new(2);
+    let live: Vec<_> = (0..7)
+        .map(|_| pb.binary(BulkOp::Xor, pb.input(0), pb.input(1)))
+        .collect();
+    let folded = live[1..]
+        .iter()
+        .fold(live[0], |acc, &r| pb.binary(BulkOp::And, acc, r));
+    let too_wide = Job::Bitwise {
+        plan: pb.finish(folded),
+        inputs: vec![a.clone(), b.clone()],
+    };
+    rt.submit(too_wide, Placement::Forced("ambit".into()))
+        .unwrap();
+    let err = rt.drain().unwrap_err();
+    assert!(
+        matches!(&err, RuntimeError::Engine { message, .. } if message.contains("rows exhausted")),
+        "{err}"
+    );
+
+    let mut pb = PlanBuilder::new(2);
+    let x = pb.binary(BulkOp::Xor, pb.input(0), pb.input(1));
+    let y = pb.not(x);
+    rt.submit(
+        Job::Bitwise {
+            plan: pb.finish(y),
+            inputs: vec![a.clone(), b.clone()],
+        },
+        Placement::Forced("ambit".into()),
+    )
+    .unwrap();
+    let done = rt.drain().expect("the fitting plan runs");
+    assert_eq!(
+        done[0].output.bits().unwrap(),
+        &a.binary(BulkOp::Xor, &b).not()
+    );
+}
+
 /// Advised placement offloads memory-bound work and keeps compute-bound
 /// work on the host.
 #[test]
