@@ -167,23 +167,6 @@ impl fmt::Display for ExecReport {
     }
 }
 
-/// How the engine shards a site list on the parallel path.
-///
-/// The determinism suites pin both modes byte-identical, and the scaling
-/// bench measures sharded against sequential replay.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ShardMode {
-    /// Two-level channel → bank fork (the default): one channel shard per
-    /// touched channel, banks forked from the channel shard under a nested
-    /// rayon scope; with one channel touched, banks fork straight off the
-    /// device.
-    #[default]
-    ChannelBank,
-    /// Sequential replay on the main device even when worker threads are
-    /// available.
-    Sequential,
-}
-
 /// Per-(bank, subarray) allocation cursor with a free list of reclaimed
 /// data rows.
 #[derive(Debug, Clone, Default)]
@@ -236,9 +219,6 @@ pub struct AmbitSystem {
     /// Reusable replay buffers (per-chunk dependency times + batched-issue
     /// arrays) for sequential replay; shards use stack-local scratch.
     run_buf: RunScratch,
-    /// Sharding strategy for the parallel path (default two-level
-    /// channel → bank).
-    shard_mode: ShardMode,
 }
 
 /// Rows a site perturbs when fault injection is on — at most the three
@@ -447,7 +427,6 @@ fn run_sites(
 }
 
 /// A bank's replay worklist: the sites that touch it, in program order.
-#[cfg(feature = "parallel")]
 type BankGroups = Vec<(BankId, Vec<SiteCmd>)>;
 
 /// Forks one shard per `(bank, sites)` pair off `parent` (the whole
@@ -455,7 +434,6 @@ type BankGroups = Vec<(BankId, Vec<SiteCmd>)>;
 /// under a rayon scope, and joins shards back in first-appearance bank
 /// order. Returns the last completion cycle, faults injected, and the
 /// max-merged per-chunk completion times.
-#[cfg(feature = "parallel")]
 fn run_bank_groups(
     parent: &mut Device,
     pairs: BankGroups,
@@ -515,7 +493,6 @@ impl AmbitSystem {
             faults_injected: 0,
             site_buf: Vec::new(),
             run_buf: RunScratch::default(),
-            shard_mode: ShardMode::default(),
         };
         sys.init_control_rows();
         sys
@@ -526,12 +503,12 @@ impl AmbitSystem {
         self.faults_injected
     }
 
-    /// Executes a site list: sequentially on the main device, or — with the
-    /// `parallel` feature, more than one worker thread, and a `faw_exempt`
-    /// timing model — sharded per bank via [`Device::fork_bank`]. The two
-    /// paths produce identical data, command counts, timing, and fault
-    /// patterns: PIM row ops are bank-local in the exempt timing model, and
-    /// each site's fault RNG depends only on `(fault_seed, site, chunk)`.
+    /// Executes a site list: sequentially on the main device, or — with more
+    /// than one worker thread and a `faw_exempt` timing model — sharded per
+    /// bank via [`Device::fork_bank`]. The two paths produce identical data,
+    /// command counts, timing, and fault patterns: PIM row ops are
+    /// bank-local in the exempt timing model, and each site's fault RNG
+    /// depends only on `(fault_seed, site, chunk)`.
     fn run_banked(&mut self, sites: &[SiteCmd], start: Cycle, n_chunks: usize) -> Result<Cycle> {
         // Engine-level telemetry is recorded here, on the parent device
         // and before any bank sharding, so sequential and parallel runs
@@ -546,7 +523,6 @@ impl AmbitSystem {
                 n_chunks as u64,
             );
         }
-        #[cfg(feature = "parallel")]
         if let Some(end) = self.run_banked_parallel(sites, start, n_chunks)? {
             return Ok(end);
         }
@@ -582,17 +558,13 @@ impl AmbitSystem {
     /// first-appearance order, which makes the raw merged trace order
     /// deterministic; normalization on (cycle, channel, rank, bank) makes
     /// it byte-identical to the sequential capture.
-    #[cfg(feature = "parallel")]
     fn run_banked_parallel(
         &mut self,
         sites: &[SiteCmd],
         start: Cycle,
         n_chunks: usize,
     ) -> Result<Option<Cycle>> {
-        if !self.device.spec().pim.faw_exempt
-            || rayon::current_num_threads() <= 1
-            || self.shard_mode == ShardMode::Sequential
-        {
+        if !self.device.spec().pim.faw_exempt || rayon::current_num_threads() <= 1 {
             return Ok(None);
         }
         // Partition by bank, preserving per-bank site order.
@@ -792,24 +764,15 @@ impl AmbitSystem {
         self.device.reset_batched_commands();
     }
 
-    /// Selects the parallel-path sharding strategy (default:
-    /// [`ShardMode::ChannelBank`]). Both modes are bit-identical in every
-    /// observable — data, reports, traces, telemetry, fault patterns —
-    /// and differ only in wall-clock scaling; the determinism suites pin
-    /// this.
-    pub fn set_shard_mode(&mut self, mode: ShardMode) {
-        self.shard_mode = mode;
-    }
-
     /// Switches one projection of command observation on or off on the
     /// underlying device (see [`Observer`]).
     ///
     /// Every AAP/AP/TRA the engine issues is observed — including on the
     /// sharded parallel path, where shard observers are absorbed back
     /// shard-major on join and the projections normalize at export, so
-    /// trace, telemetry and profile are byte-identical at any thread count
-    /// and in any [`ShardMode`]. With telemetry on, the engine adds its
-    /// operation, site and chunk-width series to the device's.
+    /// trace, telemetry and profile are byte-identical at any thread count.
+    /// With telemetry on, the engine adds its operation, site and
+    /// chunk-width series to the device's.
     pub fn observe(&mut self, projection: Projection, enabled: bool) {
         self.device.observe(projection, enabled);
     }

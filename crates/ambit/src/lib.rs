@@ -46,7 +46,7 @@ pub mod program;
 pub mod rows;
 
 pub use analog::{monte_carlo_failure_rate, tra_trial, AnalogConfig};
-pub use engine::{AmbitConfig, AmbitSystem, BulkVec, ExecReport, ShardMode};
+pub use engine::{AmbitConfig, AmbitSystem, BulkVec, ExecReport};
 pub use error::{AmbitError, Result};
 pub use gather::{strided_read, GatherConfig, StridedReport};
 pub use program::{program_for, Loc, MicroOp, MicroProgram, RowInst, RowSlot};

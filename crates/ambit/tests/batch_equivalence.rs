@@ -6,8 +6,6 @@
 //! trace. The only allowed difference is the `batched_commands`
 //! diagnostic counter.
 
-#![cfg(feature = "parallel")]
-
 use pim_ambit::{AmbitConfig, AmbitSystem, ExecReport};
 use pim_dram::{Observer, Projection};
 use pim_telemetry::Snapshot;

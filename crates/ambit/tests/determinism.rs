@@ -3,8 +3,6 @@
 //! bit-identical whether the engine runs on one thread or many — with
 //! fault injection both off and on.
 
-#![cfg(feature = "parallel")]
-
 use pim_ambit::{AmbitConfig, AmbitSystem, ExecReport};
 use pim_workloads::{BitVec, BulkOp};
 use proptest::prelude::*;

@@ -1,14 +1,12 @@
 //! Multi-channel determinism: arbitrary Ambit programs on a 2-channel,
 //! 2-rank device must produce byte-identical data, normalized trace
 //! bytes, and telemetry snapshots whether the engine runs sequentially
-//! or channel-then-bank sharded — at 1, 4, or 8
-//! worker threads. This is the determinism contract behind
+//! (one worker thread) or channel-then-bank sharded (4 or 8 worker
+//! threads). This is the determinism contract behind
 //! `Device::fork_channel`/`join_channel` and the engine's two-level
 //! fork.
 
-#![cfg(feature = "parallel")]
-
-use pim_ambit::{AmbitConfig, AmbitSystem, ShardMode};
+use pim_ambit::{AmbitConfig, AmbitSystem};
 use pim_dram::{DramSpec, Observer, Projection};
 use pim_telemetry::Snapshot;
 use pim_workloads::{BitVec, BulkOp};
@@ -67,17 +65,10 @@ fn run_step(
     }
 }
 
-/// Runs a generated program spanning `banks` bank-rows under `mode`,
-/// with tracing and telemetry on, and fingerprints every observable.
-fn run_program(
-    mode: ShardMode,
-    banks: usize,
-    program: &[u8],
-    seed: u64,
-    rate: f64,
-) -> RunFingerprint {
+/// Runs a generated program spanning `banks` bank-rows on the current
+/// pool, with tracing and telemetry on, and fingerprints every observable.
+fn run_program(banks: usize, program: &[u8], seed: u64, rate: f64) -> RunFingerprint {
     let mut sys = AmbitSystem::new(two_channel_config(rate));
-    sys.set_shard_mode(mode);
     sys.set_trace(true);
     sys.observe(Projection::Telemetry, true);
     let bits = sys.row_bits() * banks;
@@ -113,45 +104,36 @@ proptest! {
     /// of the same multi-channel program are
     /// indistinguishable in every observable, at every thread count.
     #[test]
-    fn shard_modes_and_thread_counts_are_byte_identical(
+    fn thread_counts_are_byte_identical(
         banks in 2usize..=32,
         program in proptest::collection::vec(0u8..9, 1..6),
         seed in 0u64..1_000,
     ) {
-        let base = with_threads(1, || run_program(ShardMode::Sequential, banks, &program, seed, 0.0));
+        let base = with_threads(1, || run_program(banks, &program, seed, 0.0));
         pim_check::check_trace(
             &pim_check::Trace::from_bytes(&base.trace).expect("trace parses"),
             pim_check::CheckOptions::timing_only(),
         )
         .expect("oracle accepts the sequential multi-channel trace");
-        for mode in [ShardMode::Sequential, ShardMode::ChannelBank] {
-            for threads in [1usize, 4, 8] {
-                let run = with_threads(threads, || run_program(mode, banks, &program, seed, 0.0));
-                prop_assert_eq!(&run.outs, &base.outs, "outputs: {:?} @ {}", mode, threads);
-                prop_assert_eq!(&run.trace, &base.trace, "trace bytes: {:?} @ {}", mode, threads);
-                prop_assert_eq!(
-                    &run.telemetry, &base.telemetry,
-                    "telemetry snapshot: {:?} @ {}", mode, threads
-                );
-            }
+        for threads in [4usize, 8] {
+            let run = with_threads(threads, || run_program(banks, &program, seed, 0.0));
+            prop_assert_eq!(&run.outs, &base.outs, "outputs @ {}", threads);
+            prop_assert_eq!(&run.trace, &base.trace, "trace bytes @ {}", threads);
+            prop_assert_eq!(&run.telemetry, &base.telemetry, "telemetry snapshot @ {}", threads);
         }
     }
 }
 
 /// Fault injection keys its RNG on absolute (site, chunk), so injected
-/// fault patterns are also shard-mode- and thread-count-invariant.
+/// fault patterns are also thread-count-invariant.
 #[test]
-fn fault_injection_is_shard_mode_invariant() {
+fn fault_injection_is_thread_count_invariant() {
     let program = [0u8, 2, 6];
-    let base = with_threads(1, || {
-        run_program(ShardMode::Sequential, 32, &program, 7, 0.01)
-    });
+    let base = with_threads(1, || run_program(32, &program, 7, 0.01));
     assert!(base.faults > 0, "fault injection must fire");
     for threads in [4usize, 8] {
-        let run = with_threads(threads, || {
-            run_program(ShardMode::ChannelBank, 32, &program, 7, 0.01)
-        });
-        assert_eq!(run.outs, base.outs, "ChannelBank @ {threads}");
-        assert_eq!(run.faults, base.faults, "ChannelBank @ {threads}");
+        let run = with_threads(threads, || run_program(32, &program, 7, 0.01));
+        assert_eq!(run.outs, base.outs, "@ {threads} threads");
+        assert_eq!(run.faults, base.faults, "@ {threads} threads");
     }
 }

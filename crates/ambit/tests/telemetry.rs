@@ -1,9 +1,9 @@
 //! Telemetry determinism for bank-parallel Ambit execution: for any
 //! bulk bitwise program spanning 1–8 banks, the metric registry frozen
 //! after the run must be byte-identical whether the banks execute
-//! sequentially or sharded across worker threads (`parallel` on or
-//! off, any pool size) — the shard sinks start empty and merge with
-//! commutative counter addition, so the fork/join must be invisible.
+//! sequentially (one worker thread) or sharded across any larger pool —
+//! the shard sinks start empty and merge with commutative counter
+//! addition, so the fork/join must be invisible.
 
 use pim_ambit::{AmbitConfig, AmbitSystem};
 use pim_dram::{Observer, Projection};
@@ -77,7 +77,6 @@ proptest! {
     }
 }
 
-#[cfg(feature = "parallel")]
 mod thread_invariance {
     use super::*;
 

@@ -127,7 +127,6 @@ fn bench_in_dram_adder(c: &mut Criterion) {
 fn bench_thread_scaling(c: &mut Criterion) {
     let mut group = c.benchmark_group("thread_scaling");
     group.sample_size(10);
-    #[cfg(feature = "parallel")]
     for threads in [1usize, 8] {
         group.bench_with_input(
             BenchmarkId::new("e1_execute_8banks", threads),

@@ -252,7 +252,7 @@ pub fn telemetry_snapshot() -> pim_telemetry::Snapshot {
 /// Runs the experiment; `out_bytes` sizes the host-side kernels.
 ///
 /// The five platform measurements are independent (each task builds its
-/// own runtime), so they run concurrently under the `parallel` feature.
+/// own runtime), so they run concurrently on a multi-thread pool.
 pub fn run(out_bytes: u64) -> Vec<PlatformThroughput> {
     // Ambit inside an HMC: 32 vaults modeled as 32 channels of the vault
     // organization (512 banks computing on 512 B rows).

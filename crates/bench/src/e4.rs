@@ -73,7 +73,7 @@ fn run_both(plan: BitwisePlan, inputs: Vec<&BitVec>, rows: usize) -> (BitVec, Qu
 
 /// Bitmap-index sweep: "active in all of the trailing `weeks` weeks".
 /// Each data point owns its index and runtime, so points run
-/// concurrently under the `parallel` feature.
+/// concurrently on a multi-thread pool.
 pub fn bitmap_sweep(log_users: &[u32], weeks: usize) -> Vec<QueryPoint> {
     let tasks: Vec<Box<dyn FnOnce() -> QueryPoint + Send>> = log_users
         .iter()

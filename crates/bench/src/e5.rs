@@ -19,7 +19,7 @@ pub fn eval_graph(scale: u32, degree: usize) -> Graph {
 }
 
 /// Runs the five kernels against `host`, one task per kernel (concurrent
-/// under the `parallel` feature; each comparison is independent).
+/// on a multi-thread pool; each comparison is independent).
 ///
 /// Each kernel is a [`Job::GraphBatch`] advised onto a Tesseract-backed
 /// runtime; the host baseline prices the same execution trace the
@@ -131,7 +131,7 @@ pub fn run_vs_hmc_ooo(graph: &Graph) -> Vec<Comparison> {
 }
 
 /// Prefetcher ablation: Tesseract time without prefetchers / with.
-/// One task per kernel, concurrent under the `parallel` feature.
+/// One task per kernel, concurrent on a multi-thread pool.
 pub fn prefetcher_ablation(graph: &Graph) -> Vec<(KernelKind, f64)> {
     let on = TesseractSim::new(TesseractConfig::isca2015());
     let off = TesseractSim::new(TesseractConfig::isca2015().without_prefetchers());

@@ -7,17 +7,13 @@
 //! measure the simulator itself.
 
 /// Runs a list of independent measurement tasks, returning their results
-/// in task order. With the `parallel` feature and more than one rayon
-/// thread, tasks run concurrently; each task must own all its state (every
-/// experiment builds its own simulator instances), so results do not
-/// depend on the thread count.
+/// in task order. With more than one rayon thread, tasks run concurrently;
+/// each task must own all its state (every experiment builds its own
+/// simulator instances), so results do not depend on the thread count.
 pub(crate) fn run_tasks<'a, T: Send>(tasks: Vec<Box<dyn FnOnce() -> T + Send + 'a>>) -> Vec<T> {
-    #[cfg(feature = "parallel")]
-    {
-        if rayon::current_num_threads() > 1 {
-            use rayon::prelude::*;
-            return tasks.into_par_iter().map(|t| t()).collect();
-        }
+    if rayon::current_num_threads() > 1 {
+        use rayon::prelude::*;
+        return tasks.into_par_iter().map(|t| t()).collect();
     }
     tasks.into_iter().map(|t| t()).collect()
 }

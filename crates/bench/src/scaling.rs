@@ -20,7 +20,7 @@
 //! whole-device time is reported next to the domain-cost sum so the
 //! schedule model's own error stays visible.
 
-use pim_ambit::{AmbitConfig, AmbitSystem, ShardMode};
+use pim_ambit::{AmbitConfig, AmbitSystem};
 use pim_core::{Table, Value as Cell};
 use pim_dram::DramSpec;
 use pim_tesseract::{TesseractConfig, TesseractSim};
@@ -55,22 +55,14 @@ fn config_for(spec: DramSpec) -> AmbitConfig {
     }
 }
 
-/// Runs `f` under a rayon pool fixed at `n` threads (identity under the
-/// sequential build, where there is no pool to size).
+/// Runs `f` under a rayon pool fixed at `n` threads; one thread selects
+/// the engine's sequential replay.
 fn with_threads<T>(n: usize, f: impl FnOnce() -> T) -> T {
-    #[cfg(feature = "parallel")]
-    {
-        rayon::ThreadPoolBuilder::new()
-            .num_threads(n)
-            .build()
-            .expect("pool")
-            .install(f)
-    }
-    #[cfg(not(feature = "parallel"))]
-    {
-        let _ = n;
-        f()
-    }
+    rayon::ThreadPoolBuilder::new()
+        .num_threads(n)
+        .build()
+        .expect("pool")
+        .install(f)
 }
 
 /// One observable-complete bulk-AND run: output bits, normalized trace
@@ -82,10 +74,9 @@ struct AndRun {
 }
 
 /// Allocates operands spanning every bank of `config`'s device, runs
-/// `ITERS` bulk ANDs under `mode`, and fingerprints the result.
-fn run_bulk_and(config: AmbitConfig, mode: ShardMode, trace: bool) -> AndRun {
+/// `ITERS` bulk ANDs on the current pool, and fingerprints the result.
+fn run_bulk_and(config: AmbitConfig, trace: bool) -> AndRun {
     let mut sys = AmbitSystem::new(config);
-    sys.set_shard_mode(mode);
     sys.set_trace(trace);
     let bits = sys.row_bits() * sys.spec().org.total_banks() as usize;
     let mut rng = rand::rngs::StdRng::seed_from_u64(11);
@@ -171,9 +162,7 @@ pub fn e1_scaling() -> E1Scaling {
     let words = (bits as u64 / 64) * ITERS as u64;
 
     // Identity: the sequential run is the reference for every observable.
-    let base = with_threads(1, || {
-        run_bulk_and(config_for(spec.clone()), ShardMode::Sequential, true)
-    });
+    let base = with_threads(1, || run_bulk_and(config_for(spec.clone()), true));
     let base_trace = base.trace.as_ref().expect("trace captured");
     let oracle_clean = pim_check::check_trace(
         &pim_check::Trace::from_bytes(base_trace).expect("trace parses"),
@@ -182,34 +171,29 @@ pub fn e1_scaling() -> E1Scaling {
     .is_ok();
     let mut byte_identical = true;
     for threads in [2usize, 4, 8] {
-        let run = with_threads(threads, || {
-            run_bulk_and(config_for(spec.clone()), ShardMode::ChannelBank, true)
-        });
+        let run = with_threads(threads, || run_bulk_and(config_for(spec.clone()), true));
         byte_identical &= run.out == base.out && run.trace.as_ref() == Some(base_trace);
     }
 
     // Cost model: sequential whole-device time, then each channel
     // domain's slice alone on a single-channel device of the same shape.
-    let seq_secs = (0..REPS)
-        .map(|_| run_bulk_and(config_for(spec.clone()), ShardMode::Sequential, false).secs)
-        .fold(f64::INFINITY, f64::min);
+    let seq_secs = with_threads(1, || {
+        (0..REPS)
+            .map(|_| run_bulk_and(config_for(spec.clone()), false).secs)
+            .fold(f64::INFINITY, f64::min)
+    });
     let domain_spec = DramSpec::ddr3_1600()
         .with_org(1, org.ranks, org.banks)
         .expect("one channel of a valid organization is valid");
-    let domain_secs: Vec<f64> = (0..org.channels)
-        .map(|_| {
-            (0..REPS)
-                .map(|_| {
-                    run_bulk_and(
-                        config_for(domain_spec.clone()),
-                        ShardMode::Sequential,
-                        false,
-                    )
-                    .secs
-                })
-                .fold(f64::INFINITY, f64::min)
-        })
-        .collect();
+    let domain_secs: Vec<f64> = with_threads(1, || {
+        (0..org.channels)
+            .map(|_| {
+                (0..REPS)
+                    .map(|_| run_bulk_and(config_for(domain_spec.clone()), false).secs)
+                    .fold(f64::INFINITY, f64::min)
+            })
+            .collect()
+    });
 
     let m1 = makespan(&domain_secs, 1);
     let points = THREAD_POINTS
@@ -346,56 +330,59 @@ pub struct Interference {
 /// Measures the interference ablation on the 256-bank device. All three
 /// scenarios are simulated-cycle counts, so the result is deterministic.
 pub fn interference() -> Interference {
-    let build = || {
-        let mut sys = AmbitSystem::new(config_for(spec_256()));
-        sys.set_shard_mode(ShardMode::Sequential);
-        let bits = sys.row_bits() * sys.spec().org.total_banks() as usize;
-        let mut rng = rand::rngs::StdRng::seed_from_u64(11);
-        let a = sys.alloc(bits).expect("alloc a");
-        let b = sys.alloc(bits).expect("alloc b");
-        let out = sys.alloc(bits).expect("alloc out");
-        let host = sys.alloc(bits).expect("alloc host buffer");
-        sys.write(&a, &BitVec::random(bits, 0.5, &mut rng))
-            .expect("write a");
-        sys.write(&b, &BitVec::random(bits, 0.5, &mut rng))
-            .expect("write b");
-        (sys, a, b, out, host)
-    };
-    let compute_cycles = {
-        let (mut sys, a, b, out, _host) = build();
-        let start = sys.clock();
-        for _ in 0..ITERS {
-            sys.execute(BulkOp::And, &a, Some(&b), &out)
-                .expect("execute");
+    // Simulated cycles are thread-invariant; sequential replay keeps the
+    // three scenarios cheap.
+    with_threads(1, || {
+        let build = || {
+            let mut sys = AmbitSystem::new(config_for(spec_256()));
+            let bits = sys.row_bits() * sys.spec().org.total_banks() as usize;
+            let mut rng = rand::rngs::StdRng::seed_from_u64(11);
+            let a = sys.alloc(bits).expect("alloc a");
+            let b = sys.alloc(bits).expect("alloc b");
+            let out = sys.alloc(bits).expect("alloc out");
+            let host = sys.alloc(bits).expect("alloc host buffer");
+            sys.write(&a, &BitVec::random(bits, 0.5, &mut rng))
+                .expect("write a");
+            sys.write(&b, &BitVec::random(bits, 0.5, &mut rng))
+                .expect("write b");
+            (sys, a, b, out, host)
+        };
+        let compute_cycles = {
+            let (mut sys, a, b, out, _host) = build();
+            let start = sys.clock();
+            for _ in 0..ITERS {
+                sys.execute(BulkOp::And, &a, Some(&b), &out)
+                    .expect("execute");
+            }
+            sys.clock() - start
+        };
+        let host_cycles = {
+            let (mut sys, _a, _b, _out, host) = build();
+            let start = sys.clock();
+            for _ in 0..ITERS {
+                sys.host_stream(&host, false).expect("host stream");
+            }
+            sys.clock() - start
+        };
+        let interleaved_cycles = {
+            let (mut sys, a, b, out, host) = build();
+            let start = sys.clock();
+            for _ in 0..ITERS {
+                sys.execute(BulkOp::And, &a, Some(&b), &out)
+                    .expect("execute");
+                sys.host_stream(&host, false).expect("host stream");
+            }
+            sys.clock() - start
+        };
+        Interference {
+            compute_cycles,
+            host_cycles,
+            interleaved_cycles,
+            slowdown: interleaved_cycles as f64 / compute_cycles as f64,
+            bus_tax: host_cycles as f64 / compute_cycles as f64,
+            overhead_cycles: interleaved_cycles as i64 - compute_cycles as i64 - host_cycles as i64,
         }
-        sys.clock() - start
-    };
-    let host_cycles = {
-        let (mut sys, _a, _b, _out, host) = build();
-        let start = sys.clock();
-        for _ in 0..ITERS {
-            sys.host_stream(&host, false).expect("host stream");
-        }
-        sys.clock() - start
-    };
-    let interleaved_cycles = {
-        let (mut sys, a, b, out, host) = build();
-        let start = sys.clock();
-        for _ in 0..ITERS {
-            sys.execute(BulkOp::And, &a, Some(&b), &out)
-                .expect("execute");
-            sys.host_stream(&host, false).expect("host stream");
-        }
-        sys.clock() - start
-    };
-    Interference {
-        compute_cycles,
-        host_cycles,
-        interleaved_cycles,
-        slowdown: interleaved_cycles as f64 / compute_cycles as f64,
-        bus_tax: host_cycles as f64 / compute_cycles as f64,
-        overhead_cycles: interleaved_cycles as i64 - compute_cycles as i64 - host_cycles as i64,
-    }
+    })
 }
 
 /// The full scaling report.
@@ -714,12 +701,8 @@ mod tests {
     #[test]
     fn sharded_and_sequential_small_sweep_are_byte_identical() {
         let spec = DramSpec::ddr3_1600().with_org(2, 2, 8).expect("valid org");
-        let base = with_threads(1, || {
-            run_bulk_and(config_for(spec.clone()), ShardMode::Sequential, true)
-        });
-        let run = with_threads(4, || {
-            run_bulk_and(config_for(spec.clone()), ShardMode::ChannelBank, true)
-        });
+        let base = with_threads(1, || run_bulk_and(config_for(spec.clone()), true));
+        let run = with_threads(4, || run_bulk_and(config_for(spec.clone()), true));
         assert_eq!(run.out, base.out);
         assert_eq!(run.trace, base.trace);
     }

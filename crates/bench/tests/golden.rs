@@ -6,8 +6,8 @@
 //! headline ratio out of its band, EXPERIMENTS.md is stale and the change
 //! needs a conscious re-measurement, not a silent drift. Everything here
 //! is deterministic (fixed seeds, analytic models), so the bands can be
-//! tight. CI runs this suite with the `parallel` feature both on and off;
-//! identical results at any thread count is part of the contract.
+//! tight. CI runs this suite at the default pool size and at one worker
+//! thread; identical results at any thread count is part of the contract.
 
 use pim_bench::{e1, e2, e3, e4, e5, e6, e8};
 use pim_core::{geomean, PimSite};

@@ -4,8 +4,7 @@
 //!
 //! Everything here is deterministic integer/`BTreeMap` arithmetic over
 //! the already-canonical profile payload, so the report is
-//! byte-identical across thread counts and shard modes whenever the
-//! profile is.
+//! byte-identical across thread counts whenever the profile is.
 
 use crate::event::{Lane, TraceEvent};
 use crate::histogram::{percentile_exact, LogHistogram};

@@ -35,8 +35,7 @@
 //!
 //! Group events are stored normalized (see
 //! [`crate::event::normalize`]) and jobs sorted by id, so the same run
-//! serializes to the same bytes regardless of thread count or
-//! ShardMode.
+//! serializes to the same bytes regardless of thread count.
 
 use crate::event::{normalize, Lane, ProfileSink, TraceEvent};
 use crate::record::{JobPhases, JobRecord};

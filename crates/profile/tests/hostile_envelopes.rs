@@ -1,9 +1,10 @@
 //! Hostile input for the PIMTEL01 and PIMPROF01 readers: truncated,
 //! byte-flipped (still valid UTF-8) and duplicated-member variants of
-//! the committed E1 envelopes each read to `Ok` or a typed
-//! [`SnapshotFormatError`] / [`ProfileFormatError`] — never a panic — in
-//! time linear in their length. The schema validator and the parser
-//! accept exactly the same inputs.
+//! the committed E1 envelopes — and ones padded with 50 000-deep nesting
+//! or 100 000 extra members — each read to `Ok` or a typed
+//! [`SnapshotFormatError`] / [`ProfileFormatError`] — never a panic or a
+//! stack overflow — in time linear in their length. The schema validator
+//! and the parser accept exactly the same inputs.
 
 use pim_profile::{Profile, ProfileFormatError};
 use pim_telemetry::{Snapshot, SnapshotFormatError};
@@ -128,12 +129,54 @@ fn duplicate(text: &str, pick: usize, value: Option<&str>) -> String {
     out.join("\n")
 }
 
+/// `text` with `members` spliced in ahead of its root object's own.
+fn prepend_members(text: &str, members: &str) -> String {
+    let open = text.find('{').expect("an object envelope") + 1;
+    format!("{}{members},{}", &text[..open], &text[open..])
+}
+
+/// `n` distinct scalar members, comma-separated.
+fn many_members(n: usize) -> String {
+    (0..n)
+        .map(|i| format!("\"m{i}\": {i}"))
+        .collect::<Vec<_>>()
+        .join(", ")
+}
+
 #[test]
 fn the_committed_envelopes_read_back() {
     let snap = snapshot(snapshot_text()).expect("the snapshot reads");
     assert!(!snap.metrics.is_empty() && !snap.spans.is_empty());
     let prof = profile(PROFILE).expect("the profile reads");
     assert!(!prof.groups.is_empty() && !prof.jobs.is_empty());
+}
+
+/// Nesting far past the parser's depth cap fails with a typed error —
+/// bare, and as the value of a member inside a real envelope.
+#[test]
+fn deeply_nested_envelopes_are_rejected() {
+    let depth = 50_000;
+    let arrays = "[".repeat(depth) + &"]".repeat(depth);
+    let objects = "{\"a\": ".repeat(depth) + "0" + &"}".repeat(depth);
+    for deep in [&arrays, &objects] {
+        assert!(snapshot(deep).is_err());
+        assert!(profile(deep).is_err());
+        let member = format!("\"deep\": {deep}");
+        assert!(snapshot(&prepend_members(snapshot_text(), &member)).is_err());
+        assert!(profile(&prepend_members(PROFILE, &member)).is_err());
+    }
+}
+
+/// 100 000 extra members — at the root, or as one nested object — read
+/// or fail within the linear budget.
+#[test]
+fn envelopes_with_100k_members_read_in_linear_time() {
+    let members = many_members(100_000);
+    let nested = format!("\"wide\": {{{members}}}");
+    for extra in [&members, &nested] {
+        let _ = snapshot(&prepend_members(snapshot_text(), extra));
+        let _ = profile(&prepend_members(PROFILE, extra));
+    }
 }
 
 proptest! {

@@ -109,7 +109,8 @@ pub trait Backend {
     /// # Errors
     ///
     /// [`RuntimeError::QueueFull`] (non-sticky) at capacity,
-    /// [`RuntimeError::Unsupported`] for foreign job kinds.
+    /// [`RuntimeError::Unsupported`] for foreign job kinds,
+    /// [`RuntimeError::InvalidJob`] for malformed jobs.
     fn submit(&mut self, id: JobId, job: Job) -> Result<(), RuntimeError>;
 
     /// Executes everything queued (batching/coalescing compatible jobs
@@ -191,23 +192,28 @@ pub trait Backend {
     }
 }
 
-/// `Ok` if `backend` can run `job`.
+/// `Ok` if `backend` can run `job` and the job is well-formed — the one
+/// gate every backend's `submit` and `estimate` pass through.
 ///
 /// # Errors
 ///
-/// [`RuntimeError::Unsupported`] otherwise.
+/// [`RuntimeError::Unsupported`] for a foreign job kind,
+/// [`RuntimeError::InvalidJob`] for a malformed job.
 pub(crate) fn ensure_supported<B: Backend + ?Sized>(
     backend: &B,
     job: &Job,
 ) -> Result<(), RuntimeError> {
-    if backend.supports(job) {
-        Ok(())
-    } else {
-        Err(RuntimeError::Unsupported {
+    if !backend.supports(job) {
+        return Err(RuntimeError::Unsupported {
             backend: backend.name().to_string(),
             job: job.kind(),
-        })
+        });
     }
+    job.validate().map_err(|reason| RuntimeError::InvalidJob {
+        backend: backend.name().to_string(),
+        job: job.kind(),
+        reason,
+    })
 }
 
 /// Default submission-queue bound for every backend.

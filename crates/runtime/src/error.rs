@@ -28,6 +28,17 @@ pub enum RuntimeError {
         /// Job kind (see [`crate::Job::kind`]).
         job: &'static str,
     },
+    /// The job is malformed: a bitwise plan that fails
+    /// [`pim_workloads::BitwisePlan::validate`], or input vectors that do
+    /// not match the plan in count or length. Nothing is enqueued.
+    InvalidJob {
+        /// Backend that rejected the job.
+        backend: String,
+        /// Job kind (see [`crate::Job::kind`]).
+        job: &'static str,
+        /// What is wrong with it.
+        reason: String,
+    },
     /// A forced placement named a backend that is not registered.
     UnknownBackend {
         /// The name that did not resolve.
@@ -52,6 +63,16 @@ impl fmt::Display for RuntimeError {
             }
             RuntimeError::Unsupported { backend, job } => {
                 write!(f, "backend `{backend}` does not support {job} jobs")
+            }
+            RuntimeError::InvalidJob {
+                backend,
+                job,
+                reason,
+            } => {
+                write!(
+                    f,
+                    "backend `{backend}` rejected an invalid {job} job: {reason}"
+                )
             }
             RuntimeError::NoBackend { job } => {
                 write!(f, "no registered backend supports {job} jobs")

@@ -97,6 +97,31 @@ impl Job {
         Job::Bitwise { plan, inputs }
     }
 
+    /// Checks that a bitwise job's plan validates and that it carries one
+    /// input vector per plan input, all the same length. Other job kinds
+    /// are well-formed by construction.
+    pub(crate) fn validate(&self) -> Result<(), String> {
+        let Job::Bitwise { plan, inputs } = self else {
+            return Ok(());
+        };
+        plan.validate()?;
+        if inputs.len() != plan.inputs() {
+            return Err(format!(
+                "plan takes {} inputs, job carries {}",
+                plan.inputs(),
+                inputs.len()
+            ));
+        }
+        if let Some(v) = inputs.iter().find(|v| v.len() != inputs[0].len()) {
+            return Err(format!(
+                "input lengths differ: {} vs {} bits",
+                inputs[0].len(),
+                v.len()
+            ));
+        }
+        Ok(())
+    }
+
     /// Short kind tag used in error messages and stats.
     pub fn kind(&self) -> &'static str {
         match self {

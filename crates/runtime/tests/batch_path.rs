@@ -11,18 +11,12 @@ use pim_workloads::{BitVec, BulkOp};
 use rand::SeedableRng;
 use std::sync::Arc;
 
-#[cfg(feature = "parallel")]
 fn with_threads<T>(n: usize, f: impl FnOnce() -> T) -> T {
     rayon::ThreadPoolBuilder::new()
         .num_threads(n)
         .build()
         .expect("pool")
         .install(f)
-}
-
-#[cfg(not(feature = "parallel"))]
-fn with_threads<T>(_n: usize, f: impl FnOnce() -> T) -> T {
-    f()
 }
 
 /// Same-op jobs sized to one row each, so the backend coalesces them
@@ -73,7 +67,6 @@ fn coalesced_groups_batch_on_the_sequential_path() {
     assert_batching_fires_and_is_invisible(1);
 }
 
-#[cfg(feature = "parallel")]
 #[test]
 fn batch_issue_stays_invisible_under_a_worker_pool() {
     assert_batching_fires_and_is_invisible(4);

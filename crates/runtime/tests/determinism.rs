@@ -1,8 +1,8 @@
 //! Determinism of batched dispatch: for any randomly generated job set,
 //! the runtime's coalesced drain must produce outputs and reports
 //! byte-identical to one-at-a-time sequential dispatch, both command
-//! traces must satisfy the protocol oracle, and (with the `parallel`
-//! feature) none of it may depend on the rayon thread count.
+//! traces must satisfy the protocol oracle, and none of it may depend on
+//! the rayon thread count.
 
 use pim_ambit::AmbitConfig;
 use pim_runtime::{AmbitBackend, Completion, Job, Placement, Runtime};
@@ -90,7 +90,6 @@ proptest! {
     }
 }
 
-#[cfg(feature = "parallel")]
 mod thread_invariance {
     use super::*;
 

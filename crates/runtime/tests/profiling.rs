@@ -183,14 +183,11 @@ fn disabled_profiling_takes_nothing() {
 }
 
 /// Sharding invariance of the exported profile: the fork/merge sinks
-/// plus normalization must make the `PIMPROF01` JSON byte-identical in
-/// every [`pim_ambit::ShardMode`], at every thread count (under the
-/// `parallel` feature), on a multi-channel device where channel-domain
-/// sharding actually engages.
-#[cfg(feature = "parallel")]
+/// plus normalization must make the `PIMPROF01` JSON byte-identical at
+/// every thread count — one thread being sequential replay — on a
+/// multi-channel device where channel-domain sharding actually engages.
 mod shard_invariance {
     use super::*;
-    use pim_ambit::ShardMode;
     use pim_dram::DramSpec;
 
     fn with_threads<T>(n: usize, f: impl FnOnce() -> T) -> T {
@@ -201,13 +198,12 @@ mod shard_invariance {
             .install(f)
     }
 
-    fn profiled_json(mode: ShardMode, jobs: &[Job]) -> String {
+    fn profiled_json(jobs: &[Job]) -> String {
         let cfg = pim_ambit::AmbitConfig {
             spec: DramSpec::ddr3_1600().with_channels(2).with_ranks(2),
             ..AmbitConfig::ddr3()
         };
-        let mut backend = AmbitBackend::new("ambit", cfg);
-        backend.system_mut().set_shard_mode(mode);
+        let backend = AmbitBackend::new("ambit", cfg);
         let mut rt = Runtime::new().with(Box::new(backend));
         rt.set_profile(true);
         for job in jobs {
@@ -221,19 +217,14 @@ mod shard_invariance {
     }
 
     #[test]
-    fn profile_json_is_byte_identical_across_shard_modes_and_threads() {
+    fn profile_json_is_byte_identical_across_thread_counts() {
         // Spans multiple banks per channel so both shard axes engage.
         let jobs = bulk_jobs(6, 120_000, 23);
-        let base = with_threads(1, || profiled_json(ShardMode::Sequential, &jobs));
+        let base = with_threads(1, || profiled_json(&jobs));
         Profile::validate_json(&base).expect("envelope validates");
-        for threads in [1usize, 2, 4, 8] {
-            for mode in [ShardMode::Sequential, ShardMode::ChannelBank] {
-                let json = with_threads(threads, || profiled_json(mode, &jobs));
-                assert_eq!(
-                    json, base,
-                    "profile diverged at {threads} threads, {mode:?}"
-                );
-            }
+        for threads in [2usize, 4, 8] {
+            let json = with_threads(threads, || profiled_json(&jobs));
+            assert_eq!(json, base, "profile diverged at {threads} threads");
         }
     }
 }

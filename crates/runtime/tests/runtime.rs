@@ -3,10 +3,10 @@
 
 use pim_core::{ConsumerSystemConfig, Objective, PimSite};
 use pim_energy::Component;
-use pim_host::{CpuConfig, CpuModel};
+use pim_host::{CpuConfig, CpuModel, GpuConfig, GpuModel};
 use pim_runtime::{
-    AmbitBackend, CpuBackend, Job, JobOutput, Placement, Runtime, RuntimeError, StreamSiteBackend,
-    StreamSiteConfig, TesseractBackend,
+    AmbitBackend, Backend, CpuBackend, GpuBackend, Job, JobOutput, Placement, Runtime,
+    RuntimeError, StreamSiteBackend, StreamSiteConfig, TesseractBackend,
 };
 use pim_tesseract::{HostGraphConfig, TesseractConfig, TesseractSim};
 use pim_workloads::{BitVec, BulkOp, Graph, KernelKind, PlanBuilder};
@@ -476,6 +476,55 @@ fn placement_errors() {
             .unwrap_err(),
         RuntimeError::NoBackend { job: "graph-batch" }
     );
+}
+
+/// Malformed bitwise jobs — inputs of unequal length, or fewer inputs
+/// than the plan takes — are rejected at submission with a typed error
+/// on every bitwise backend, and nothing reaches the queue.
+#[test]
+fn invalid_bitwise_jobs_are_rejected_at_submission() {
+    let and = |inputs: Vec<Arc<BitVec>>| {
+        let mut pb = PlanBuilder::new(2);
+        let dst = pb.binary(BulkOp::And, pb.input(0), pb.input(1));
+        Job::Bitwise {
+            plan: pb.finish(dst),
+            inputs,
+        }
+    };
+    let bad = [
+        (
+            "lengths differ",
+            and(vec![patterned(64, 1), patterned(128, 2)]),
+        ),
+        ("plan takes 2 inputs", and(vec![patterned(64, 1)])),
+    ];
+    let backends: Vec<Box<dyn Backend>> = vec![
+        Box::new(AmbitBackend::new("ambit", AmbitConfig::ddr3())),
+        Box::new(CpuBackend::new(
+            "cpu",
+            CpuModel::new(CpuConfig::skylake_ddr3()),
+        )),
+        Box::new(GpuBackend::gpu("gpu", GpuModel::new(GpuConfig::gtx745()))),
+    ];
+    for backend in backends {
+        let name = backend.name().to_string();
+        let mut rt = Runtime::new().with(backend);
+        for (want, job) in &bad {
+            match rt.submit(job.clone(), Placement::Forced(name.clone())) {
+                Err(RuntimeError::InvalidJob {
+                    backend,
+                    job: "bitwise",
+                    reason,
+                }) => {
+                    assert_eq!(backend, name);
+                    assert!(reason.contains(want), "{name}: {reason}");
+                }
+                other => panic!("{name} accepted a malformed job: {other:?}"),
+            }
+        }
+        assert_eq!(rt.stats()[0].queue_depth, 0, "{name}");
+        assert!(rt.drain().expect("drain").is_empty(), "{name}");
+    }
 }
 
 /// Compiled SIMD programs ride the runtime: forced onto the Ambit

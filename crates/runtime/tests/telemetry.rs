@@ -146,7 +146,6 @@ fn stats_expose_backpressure() {
     assert_eq!(stats.completed, 2);
 }
 
-#[cfg(feature = "parallel")]
 mod thread_invariance {
     use super::*;
 

@@ -1,13 +1,11 @@
-//! Compiled-program determinism across shard modes and thread counts:
-//! the same μprogram on a 2-channel, 2-rank device must produce
-//! byte-identical outputs, normalized trace bytes, and telemetry
-//! snapshots whether the engine replays it sequentially or
-//! channel-then-bank sharded — at 1, 2, 4, or 8 worker threads — and
-//! every captured trace must pass the pim-check protocol oracle.
+//! Compiled-program determinism across thread counts: the same μprogram
+//! on a 2-channel, 2-rank device must produce byte-identical outputs,
+//! normalized trace bytes, and telemetry snapshots whether the engine
+//! replays it sequentially (one worker thread) or channel-then-bank
+//! sharded (2, 4, or 8 worker threads) — and every captured trace must
+//! pass the pim-check protocol oracle.
 
-#![cfg(feature = "parallel")]
-
-use pim_ambit::{AmbitConfig, AmbitSystem, ShardMode};
+use pim_ambit::{AmbitConfig, AmbitSystem};
 use pim_dram::{DramSpec, Observer, Projection};
 use pim_simd::{CompiledProgram, Compiler, OpGraph};
 use pim_telemetry::Snapshot;
@@ -30,22 +28,17 @@ struct RunFingerprint {
 }
 
 /// A 2ch x 2ra x 8ba DDR3 device, so lane chunks spread across channels
-/// and the ChannelBank mode's two-level fork actually engages.
+/// and the engine's two-level channel → bank fork actually engages.
 fn two_channel_config() -> AmbitConfig {
     let mut cfg = AmbitConfig::ddr3();
     cfg.spec = DramSpec::ddr3_1600().with_channels(2).with_ranks(2);
     cfg
 }
 
-/// Executes `program` over `inputs` under `mode` with tracing and
+/// Executes `program` over `inputs` on the current pool with tracing and
 /// telemetry on, and fingerprints every observable.
-fn run_program(
-    mode: ShardMode,
-    program: &CompiledProgram,
-    inputs: &[&BitSlicedIntVec],
-) -> RunFingerprint {
+fn run_program(program: &CompiledProgram, inputs: &[&BitSlicedIntVec]) -> RunFingerprint {
     let mut sys = AmbitSystem::new(two_channel_config());
-    sys.set_shard_mode(mode);
     sys.set_trace(true);
     sys.observe(Projection::Telemetry, true);
     let (outs, _report) = program.execute(&mut sys, inputs).expect("execute");
@@ -95,10 +88,10 @@ fn workload() -> (CompiledProgram, Vec<BitSlicedIntVec>) {
 fn compiled_programs_are_shard_and_thread_invariant() {
     let (program, inputs) = workload();
     let refs: Vec<&BitSlicedIntVec> = inputs.iter().collect();
-    let base = with_threads(1, || run_program(ShardMode::Sequential, &program, &refs));
+    let base = with_threads(1, || run_program(&program, &refs));
 
     // Cross-check the sequential outputs against the host reference
-    // before comparing modes against each other.
+    // before comparing thread counts against each other.
     assert_eq!(base.outs.len(), 3);
     for (i, (a, b)) in inputs[0]
         .to_values()
@@ -117,15 +110,13 @@ fn compiled_programs_are_shard_and_thread_invariant() {
     )
     .expect("oracle accepts the sequential compiled-program trace");
 
-    for mode in [ShardMode::Sequential, ShardMode::ChannelBank] {
-        for threads in [1usize, 2, 4, 8] {
-            let run = with_threads(threads, || run_program(mode, &program, &refs));
-            assert_eq!(run.outs, base.outs, "outputs: {mode:?} @ {threads}");
-            assert_eq!(run.trace, base.trace, "trace bytes: {mode:?} @ {threads}");
-            assert_eq!(
-                run.telemetry, base.telemetry,
-                "telemetry snapshot: {mode:?} @ {threads}"
-            );
-        }
+    for threads in [2usize, 4, 8] {
+        let run = with_threads(threads, || run_program(&program, &refs));
+        assert_eq!(run.outs, base.outs, "outputs @ {threads}");
+        assert_eq!(run.trace, base.trace, "trace bytes @ {threads}");
+        assert_eq!(
+            run.telemetry, base.telemetry,
+            "telemetry snapshot @ {threads}"
+        );
     }
 }

@@ -229,8 +229,8 @@ fn constants_shifts_reductions() {
 }
 
 /// A captured trace of a compiled-program run passes the pim-check
-/// protocol oracle (this variant runs with or without the `parallel`
-/// feature; the sharded/threaded matrix lives in tests/determinism.rs).
+/// protocol oracle (this variant runs on the ambient pool; the
+/// thread-count matrix lives in tests/determinism.rs).
 #[test]
 fn compiled_run_trace_passes_oracle() {
     let graph = binary_graph("add", 8);

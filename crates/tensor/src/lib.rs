@@ -21,8 +21,8 @@
 //! routes each program to whichever site wins (wide multiplies fall back
 //! to the host; see EXPERIMENTS.md E11/E12).
 //!
-//! Results are bit-exact by construction at any tile size, shard mode,
-//! or thread count: both execution sites implement the same
+//! Results are bit-exact by construction at any tile size or thread
+//! count: both execution sites implement the same
 //! [`pim_simd::OpGraph::eval_reference`] semantics, and the conformance
 //! suite checks tiled gathers against untiled runs and the host oracle.
 //!

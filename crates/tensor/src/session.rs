@@ -10,7 +10,7 @@
 //! so the offload advisor routes each program to DRAM or the host
 //! vectorized loop by compiled cost (wide multiplies stay on the host,
 //! per E11). Tile outputs gather back in lane order, bit-exactly equal
-//! at any tile size, shard mode, or thread count.
+//! at any tile size or thread count.
 
 use crate::elem::PimElem;
 use crate::error::{Result, TensorError};

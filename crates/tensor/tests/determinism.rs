@@ -1,21 +1,29 @@
 //! Tiling and scheduling determinism: a tensor evaluation must be
 //! byte-identical whether it runs as one untiled job, many bank-tiles,
-//! or on the host reference — across every shard mode and (with the
-//! `parallel` feature) any rayon thread count. Command traces from the
-//! DRAM paths must satisfy the protocol oracle.
+//! or on the host reference — at any rayon thread count, one thread being
+//! the sequential replay reference. Command traces from the DRAM paths
+//! must satisfy the protocol oracle.
 
-use pim_ambit::{AmbitConfig, ShardMode};
+use pim_ambit::AmbitConfig;
 use pim_host::{CpuConfig, CpuModel};
 use pim_runtime::{AmbitBackend, CpuBackend, Placement, Runtime};
 use pim_tensor::{PimTensor, TensorConfig, TensorSession};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 
-/// A session with one Ambit device in the given shard mode, forced
-/// placement, and `tile_lanes` tiling (`0` = untiled).
-fn ambit_session(mode: ShardMode, tile_lanes: usize) -> TensorSession {
-    let mut ambit = AmbitBackend::new("ambit", AmbitConfig::ddr3());
-    ambit.system_mut().set_shard_mode(mode);
+/// Runs `f` under a rayon pool fixed at `n` threads.
+fn with_threads<T>(n: usize, f: impl FnOnce() -> T) -> T {
+    rayon::ThreadPoolBuilder::new()
+        .num_threads(n)
+        .build()
+        .expect("pool")
+        .install(f)
+}
+
+/// A session with one Ambit device, forced placement, and `tile_lanes`
+/// tiling (`0` = untiled).
+fn ambit_session(tile_lanes: usize) -> TensorSession {
+    let ambit = AmbitBackend::new("ambit", AmbitConfig::ddr3());
     TensorSession::new(
         Runtime::new().with(Box::new(ambit)),
         TensorConfig {
@@ -98,8 +106,8 @@ proptest! {
 
     /// The satellite acceptance property: tiled multi-job evaluation is
     /// byte-identical to a single untiled job and to the host reference,
-    /// for every shard mode, at generated lane counts and tile sizes
-    /// that leave ragged final tiles.
+    /// sequential and bank-sharded, at generated lane counts and tile
+    /// sizes that leave ragged final tiles.
     #[test]
     fn tiled_equals_untiled_equals_host(
         lanes in 1usize..600,
@@ -113,14 +121,14 @@ proptest! {
         let host = run(&mut host_session(), &av, &bv);
         prop_assert_eq!(&host, &want);
 
-        let untiled = run(&mut ambit_session(ShardMode::Sequential, 0), &av, &bv);
+        let untiled = with_threads(1, || run(&mut ambit_session(0), &av, &bv));
         prop_assert_eq!(&untiled, &want);
 
-        for mode in [ShardMode::Sequential, ShardMode::ChannelBank] {
-            let mut sess = ambit_session(mode, tile);
+        for threads in [1usize, 4] {
+            let mut sess = ambit_session(tile);
             sess.runtime_mut().set_trace(true);
-            let tiled = run(&mut sess, &av, &bv);
-            prop_assert_eq!(&tiled, &want, "mode {:?} tile {}", mode, tile);
+            let tiled = with_threads(threads, || run(&mut sess, &av, &bv));
+            prop_assert_eq!(&tiled, &want, "{} threads tile {}", threads, tile);
             assert_oracle_accepts(&mut sess);
         }
     }
@@ -133,25 +141,16 @@ fn tiled_reduction_matches_host() {
     let av = gen_lanes(777, 99, 32);
     let a = || PimTensor::<u32>::from_u64_values(av.clone());
 
-    let mut dram = ambit_session(ShardMode::ChannelBank, 128);
+    let mut dram = ambit_session(128);
     let mut host = host_session();
     assert_eq!(dram.sum(&a()).unwrap(), av.iter().sum::<u64>());
     assert_eq!(dram.sum(&a()).unwrap(), host.sum(&a()).unwrap());
     assert_eq!(dram.min(&a()).unwrap(), *av.iter().min().unwrap() as u32);
 }
 
-#[cfg(feature = "parallel")]
 mod thread_invariance {
     use super::*;
     use pim_telemetry::TelemetrySink;
-
-    fn with_threads<T>(n: usize, f: impl FnOnce() -> T) -> T {
-        rayon::ThreadPoolBuilder::new()
-            .num_threads(n)
-            .build()
-            .expect("pool")
-            .install(f)
-    }
 
     /// `tensor.*` planning counters the session records for one
     /// evaluation, for cross-thread-count comparison.
@@ -169,10 +168,10 @@ mod thread_invariance {
         .collect()
     }
 
-    fn run_with_telemetry(mode: ShardMode) -> (Vec<u16>, Vec<(&'static str, u64)>) {
+    fn run_with_telemetry() -> (Vec<u16>, Vec<(&'static str, u64)>) {
         let av = gen_lanes(1234, 7, 16);
         let bv = gen_lanes(1234, 8, 16);
-        let mut sess = ambit_session(mode, 100);
+        let mut sess = ambit_session(100);
         sess.set_telemetry(true);
         let out = run(&mut sess, &av, &bv);
         let sink = sess.take_telemetry().expect("telemetry enabled");
@@ -180,23 +179,15 @@ mod thread_invariance {
     }
 
     /// Outputs and `tensor.*` telemetry must not depend on the rayon
-    /// pool size, in any shard mode.
+    /// pool size.
     #[test]
     fn results_and_telemetry_identical_across_thread_counts() {
-        for mode in [ShardMode::Sequential, ShardMode::ChannelBank] {
-            let base = with_threads(1, || run_with_telemetry(mode));
-            assert!(base.1.iter().any(|&(_, v)| v > 0), "counters recorded");
-            for threads in [2usize, 4, 8] {
-                let other = with_threads(threads, || run_with_telemetry(mode));
-                assert_eq!(
-                    base.0, other.0,
-                    "outputs differ at {threads} threads ({mode:?})"
-                );
-                assert_eq!(
-                    base.1, other.1,
-                    "telemetry differs at {threads} threads ({mode:?})"
-                );
-            }
+        let base = with_threads(1, run_with_telemetry);
+        assert!(base.1.iter().any(|&(_, v)| v > 0), "counters recorded");
+        for threads in [2usize, 4, 8] {
+            let other = with_threads(threads, run_with_telemetry);
+            assert_eq!(base.0, other.0, "outputs differ at {threads} threads");
+            assert_eq!(base.1, other.1, "telemetry differs at {threads} threads");
         }
     }
 }

@@ -239,9 +239,8 @@ impl VaultGroups {
 /// only snapshot state, writing a vault-local trace, emit list, and
 /// accumulator — and the barrier then merges traces and applies emits in
 /// **vault order**. That fixed merge order makes traces and outputs
-/// identical whether the vault scans run on one thread or many; with the
-/// `parallel` feature and more than one worker thread the scans run
-/// concurrently. When the partition declares multiple stacks
+/// identical whether the vault scans run on one thread or many; with more
+/// than one worker thread the scans run concurrently. When the partition declares multiple stacks
 /// ([`VertexPartition::with_stacks`]) the scans nest stack → vault, each
 /// stack's contiguous vault block a shard domain of its own, with an
 /// ordered flatten that keeps the barrier merge byte-identical to the
@@ -270,7 +269,6 @@ fn run_superstep<M: Send, A: Default + Send>(
         }
         (local, emits, acc)
     };
-    #[cfg(feature = "parallel")]
     let results: Vec<(SuperstepTrace, Vec<Emit<M>>, A)> = if rayon::current_num_threads() > 1 {
         use rayon::prelude::*;
         let stacks = p.stacks() as usize;
@@ -305,9 +303,6 @@ fn run_superstep<M: Send, A: Default + Send>(
     } else {
         groups.iter().map(|g| run_group(g)).collect()
     };
-    #[cfg(not(feature = "parallel"))]
-    let results: Vec<(SuperstepTrace, Vec<Emit<M>>, A)> =
-        groups.iter().map(|g| run_group(g)).collect();
 
     let mut ss = SuperstepTrace::new(n_vaults);
     let mut accs = Vec::with_capacity(results.len());

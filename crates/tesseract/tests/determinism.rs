@@ -3,8 +3,6 @@
 //! scanned on one thread or many (messages merge in vault order at the
 //! barrier, so ordering cannot leak into the results).
 
-#![cfg(feature = "parallel")]
-
 use pim_tesseract::engine::run_kernel;
 use pim_tesseract::{run_sssp_weighted, ExecutionTrace, KernelOutput, VertexPartition};
 use pim_workloads::{Graph, KernelKind};
