@@ -1,5 +1,5 @@
 //! The Ambit execution engine: allocates bulk bit vectors across
-//! banks/subarrays, sequences micro-op programs as real DRAM commands, and
+//! banks/subarrays, sequences row programs as real DRAM commands, and
 //! reports cycle/energy costs.
 //!
 //! The engine plays the role of Ambit's modified memory controller: it
@@ -9,7 +9,7 @@
 //! the CPU reference in the tests.
 
 use crate::error::{AmbitError, Result};
-use crate::program::{program_for, Loc, MicroOp, RowInst, RowSlot};
+use crate::program::{program_for, RowInst, RowSlot, MAJ};
 use crate::rows::{SpecialRow, SubarrayLayout};
 use pim_dram::{
     BankId, Command, CommandCounts, Cycle, Device, DramAddr, DramSpec, Observer, Projection, RowId,
@@ -207,10 +207,11 @@ pub struct AmbitSystem {
     cursors: Vec<ArenaCursor>, // indexed by flat (channel, rank, bank, subarray)
     tra_failure_rate: f64,
     fault_seed: u64,
-    /// Monotonic counter of fault *sites* (micro-op slots) consumed so far.
-    /// Each TRA derives its fault RNG from `(fault_seed, site, chunk)`, so
-    /// the injected fault pattern is a pure function of program position —
-    /// identical whether chunks execute sequentially or bank-parallel.
+    /// Monotonic counter of fault *sites* (row-program instruction slots)
+    /// consumed so far. Each TRA derives its fault RNG from
+    /// `(fault_seed, site, chunk)`, so the injected fault pattern is a pure
+    /// function of program position — identical whether chunks execute
+    /// sequentially or bank-parallel.
     fault_epoch: u64,
     faults_injected: u64,
     /// Reusable site-list buffer: every operation builds its command replay
@@ -236,12 +237,6 @@ impl FaultRows {
         self.len += 1;
     }
 
-    fn single(row: RowId) -> Self {
-        let mut fr = FaultRows::default();
-        fr.push(row);
-        fr
-    }
-
     fn as_slice(&self) -> &[RowId] {
         &self.rows[..self.len as usize]
     }
@@ -252,7 +247,7 @@ impl FaultRows {
 }
 
 /// One command bound for a specific chunk's timing chain, tagged with the
-/// fault-injection identity of its micro-op slot. Building a full site
+/// fault-injection identity of its instruction slot. Building a full site
 /// list up front lets [`AmbitSystem::run_banked`] replay it either on the
 /// main device (sequentially, in construction order) or sharded per bank.
 #[derive(Debug, Clone, Copy)]
@@ -264,6 +259,11 @@ struct SiteCmd {
     cmd: Command,
     /// Rows to perturb after issue when fault injection is enabled.
     fault_rows: FaultRows,
+}
+
+/// Output bytes of `v`, as an [`ExecReport`] counts them.
+fn byte_len(v: &BulkVec) -> u64 {
+    (v.len_bits as u64).div_ceil(8)
 }
 
 /// Linear-scan `(bank, free-at)` table for the serial-copy paths. The
@@ -347,12 +347,13 @@ struct RunScratch {
 /// Maximal homogeneous runs — same command kind, strictly increasing chunk
 /// (so no chunk's dependency time is read and written within one run), no
 /// fault injection pending — are handed to [`Device::issue_run`], which
-/// batches the per-command bookkeeping. `AmbitSystem::execute` emits sites
-/// micro-op-major / chunk-minor, so in steady state every micro-op step
-/// becomes one batched run across all chunks. Commands still validate and
-/// apply strictly in order; data, timing, counts, traces, and telemetry
-/// are byte-identical to the per-command path (pinned by the equivalence
-/// tests), which stays available via [`Device::set_batch_runs`].
+/// batches the per-command bookkeeping. Row programs emit sites
+/// instruction-major / chunk-minor (all but MAJ, which stays chunk-major),
+/// so in steady state every instruction becomes one batched run across all
+/// chunks. Commands still validate and apply strictly in order; data,
+/// timing, counts, traces, and telemetry are byte-identical to the
+/// per-command path (pinned by the equivalence tests), which stays
+/// available via [`Device::set_batch_runs`].
 fn run_sites(
     device: &mut Device,
     sites: &[SiteCmd],
@@ -712,9 +713,10 @@ impl AmbitSystem {
         self.device.counts()
     }
 
-    /// Per-chunk completion cycles of the most recent command-replayed
-    /// operation ([`AmbitSystem::execute`], [`AmbitSystem::execute_maj`],
-    /// [`AmbitSystem::copy`], [`AmbitSystem::fill`]): entry `c` is the
+    /// Per-chunk completion cycles of the most recent row program
+    /// ([`AmbitSystem::execute`], [`AmbitSystem::execute_maj`],
+    /// [`AmbitSystem::copy`], [`AmbitSystem::fill`],
+    /// [`AmbitSystem::execute_row_program`]): entry `c` is the
     /// cycle chunk `c`'s dependency chain finished (the operation's start
     /// cycle for untouched chunks). Identical on the sequential and
     /// bank-sharded paths. `pim-runtime` uses this to price each job of a
@@ -961,7 +963,7 @@ impl AmbitSystem {
             (t, end) = (at, end.max(out.done));
         }
         self.clock = end;
-        self.report(start, end, start_counts, vec)
+        Ok(self.report(start, end, start_counts, byte_len(vec)))
     }
 
     fn check_colocated(&self, vecs: &[&BulkVec]) -> Result<()> {
@@ -984,18 +986,6 @@ impl AmbitSystem {
         Ok(())
     }
 
-    fn resolve(&self, loc: Loc, chunk: usize, ins: &[&BulkVec], out: &BulkVec) -> RowId {
-        match loc {
-            Loc::In(i) => ins[i].rows[chunk],
-            Loc::Out => out.rows[chunk],
-            Loc::Special(s) => {
-                let anchor = out.rows[chunk];
-                let sa = self.layout.subarray_of(anchor.row);
-                anchor.bank_id().row(self.layout.special_row(sa, s))
-            }
-        }
-    }
-
     /// Executes one bulk bitwise operation entirely in DRAM.
     ///
     /// # Errors
@@ -1003,6 +993,9 @@ impl AmbitSystem {
     /// * [`AmbitError::WrongOperands`] if the operand count mismatches `op`.
     /// * [`AmbitError::LengthMismatch`] / [`AmbitError::NotColocated`] for
     ///   incompatible vectors.
+    /// * [`AmbitError::InvalidArgument`] if the vectors span more chunks
+    ///   than the device has (bank × subarray) arenas (see
+    ///   [`AmbitSystem::execute_row_program`]).
     /// * [`AmbitError::Dram`] only on engine bugs (sequencing is validated).
     pub fn execute(
         &mut self,
@@ -1014,70 +1007,11 @@ impl AmbitSystem {
         if op.is_unary() != b.is_none() {
             return Err(AmbitError::WrongOperands { op });
         }
-        // Stack-held operand lists — no per-call Vec for the operands.
-        let ins_storage = [a, b.unwrap_or(a)];
-        let ins = &ins_storage[..1 + usize::from(b.is_some())];
-        let all_storage = [a, b.unwrap_or(dst), dst];
-        let all: &[&BulkVec] = if b.is_some() {
-            &all_storage
-        } else {
-            &all_storage[..2]
-        };
-        self.check_colocated(all)?;
-
-        let program = program_for(op);
-        let start_counts = *self.device.counts();
-        let start = self.clock;
-        let n_chunks = dst.rows.len();
-
-        let mut sites = std::mem::take(&mut self.site_buf);
-        sites.clear();
-        for (op_idx, mop) in program.ops().iter().enumerate() {
-            for chunk in 0..n_chunks {
-                let cmd = self.command_for(mop, chunk, ins, dst);
-                sites.push(SiteCmd {
-                    site: self.fault_epoch + op_idx as u64,
-                    chunk,
-                    fault_rows: self.fault_rows_for(&cmd),
-                    cmd,
-                });
-            }
-        }
-        self.fault_epoch += program.ops().len() as u64;
-        let end = self.run_banked(&sites, start, n_chunks);
-        self.site_buf = sites;
-        let end = end?;
-        self.clock = end;
-        self.report(start, end, start_counts, dst)
-    }
-
-    fn command_for(&self, mop: &MicroOp, chunk: usize, ins: &[&BulkVec], out: &BulkVec) -> Command {
-        let bank: BankId = out.rows[chunk].bank_id();
-        match *mop {
-            MicroOp::Copy { src, dst, invert } => Command::Aap {
-                src: self.resolve(src, chunk, ins, out),
-                dst: self.resolve(dst, chunk, ins, out),
-                invert,
-            },
-            MicroOp::Tra { rows } => Command::Tra {
-                bank,
-                rows: [
-                    self.resolve(rows[0], chunk, ins, out).row,
-                    self.resolve(rows[1], chunk, ins, out).row,
-                    self.resolve(rows[2], chunk, ins, out).row,
-                ],
-            },
-            MicroOp::TraCopy { rows, dst, invert } => Command::TraAap {
-                bank,
-                rows: [
-                    self.resolve(rows[0], chunk, ins, out).row,
-                    self.resolve(rows[1], chunk, ins, out).row,
-                    self.resolve(rows[2], chunk, ins, out).row,
-                ],
-                dst: self.resolve(dst, chunk, ins, out).row,
-                invert,
-            },
-        }
+        // The plane table `[a, b?, dst]`, stack-held — no per-call Vec.
+        let storage = [a, b.unwrap_or(dst), dst];
+        let planes = &storage[..2 + usize::from(b.is_some())];
+        self.check_colocated(planes)?;
+        self.run_program(program_for(op), planes, byte_len(dst))
     }
 
     fn resolve_slot(&self, slot: RowSlot, chunk: usize, planes: &[&BulkVec]) -> RowId {
@@ -1120,14 +1054,93 @@ impl AmbitSystem {
         }
     }
 
+    /// Appends instruction `inst` — slot `op_idx` of the program about to
+    /// run — bound to `chunk`'s rows of the plane table.
+    fn push_site(
+        &self,
+        sites: &mut Vec<SiteCmd>,
+        inst: &RowInst,
+        op_idx: usize,
+        chunk: usize,
+        planes: &[&BulkVec],
+    ) {
+        let cmd = self.row_command_for(inst, chunk, planes);
+        sites.push(SiteCmd {
+            site: self.fault_epoch + op_idx as u64,
+            chunk,
+            fault_rows: self.fault_rows_for(&cmd),
+            cmd,
+        });
+    }
+
+    /// Runs `insts` over `planes` (already checked co-located), building
+    /// the site list instruction-major / chunk-minor so every instruction
+    /// becomes one batched run across all chunks.
+    ///
+    /// Rejects a program that writes a special row once the chunks
+    /// outnumber the (bank × subarray) arenas: chunks would then share
+    /// special rows, and one chunk's scratch state would overwrite
+    /// another's between instructions.
+    fn run_program(
+        &mut self,
+        insts: &[RowInst],
+        planes: &[&BulkVec],
+        bytes_out: u64,
+    ) -> Result<ExecReport> {
+        let n_chunks = planes[0].rows.len();
+        let org = &self.device.spec().org;
+        if n_chunks > (org.total_banks() * org.subarrays) as usize
+            && insts
+                .iter()
+                .flat_map(RowInst::written)
+                .any(|slot| matches!(slot, RowSlot::Special(_)))
+        {
+            return Err(AmbitError::InvalidArgument(
+                "row program spans more chunks than bank x subarray arenas; \
+                 special rows would alias across chunks",
+            ));
+        }
+        self.replay(insts.len(), n_chunks, bytes_out, |sys, sites| {
+            for (op_idx, inst) in insts.iter().enumerate() {
+                for chunk in 0..n_chunks {
+                    sys.push_site(sites, inst, op_idx, chunk, planes);
+                }
+            }
+        })
+    }
+
+    /// The replay tail every row program shares: `build` fills the
+    /// reusable site buffer, the sites replay from the current clock, the
+    /// fault epoch advances by the program length, and the report prices
+    /// the command delta with `bytes_out` bytes of output.
+    fn replay(
+        &mut self,
+        program_len: usize,
+        n_chunks: usize,
+        bytes_out: u64,
+        build: impl FnOnce(&Self, &mut Vec<SiteCmd>),
+    ) -> Result<ExecReport> {
+        let start_counts = *self.device.counts();
+        let start = self.clock;
+        let mut sites = std::mem::take(&mut self.site_buf);
+        sites.clear();
+        build(self, &mut sites);
+        self.fault_epoch += program_len as u64;
+        let end = self.run_banked(&sites, start, n_chunks);
+        self.site_buf = sites;
+        let end = end?;
+        self.clock = end;
+        Ok(self.report(start, end, start_counts, bytes_out))
+    }
+
     /// Executes a compiled row-level program — a [`RowInst`] sequence such
     /// as the MAJ/NOT μprograms `pim-simd` emits — over a table of
     /// co-located plane vectors. `planes[i]` is what `RowSlot::Plane(i)`
     /// addresses; special rows resolve against the subarray each chunk
-    /// lives in, exactly as in [`AmbitSystem::execute`]. The site list is
-    /// built instruction-major / chunk-minor, so the whole program rides
-    /// the same batched issue fast path and channel-domain sharding as the
-    /// built-in bulk operations.
+    /// lives in. This is the path the built-in bulk operations take too
+    /// ([`AmbitSystem::execute`] runs [`program_for`] over `[a, b?, dst]`),
+    /// so a compiled program rides the same batched issue fast path and
+    /// channel-domain sharding.
     ///
     /// The returned report's `bytes_out` is `0`: the engine cannot know
     /// which planes are the program's payload, so callers attribute output
@@ -1136,10 +1149,10 @@ impl AmbitSystem {
     /// # Errors
     ///
     /// * [`AmbitError::InvalidArgument`] if `planes` is empty, or if the
-    ///   planes span more chunks than the device has (bank × subarray)
-    ///   arenas — beyond that point two chunks of one plane would share
-    ///   the same physical special rows, and a program's scratch state
-    ///   would alias across chunks.
+    ///   program writes a special row and the planes span more chunks than
+    ///   the device has (bank × subarray) arenas — beyond that point two
+    ///   chunks of one plane would share the same physical special rows,
+    ///   and a program's scratch state would alias across chunks.
     /// * [`AmbitError::LengthMismatch`] / [`AmbitError::NotColocated`] for
     ///   incompatible plane vectors.
     /// * [`AmbitError::PlanInvalid`] if an instruction violates the row
@@ -1149,53 +1162,15 @@ impl AmbitSystem {
         insts: &[RowInst],
         planes: &[&BulkVec],
     ) -> Result<ExecReport> {
-        let first = *planes
-            .first()
-            .ok_or(AmbitError::InvalidArgument("row program needs planes"))?;
-        self.check_colocated(planes)?;
-        let org = &self.device.spec().org;
-        let arenas = (org.total_banks() * org.subarrays) as usize;
-        let n_chunks = first.rows.len();
-        if n_chunks > arenas {
-            return Err(AmbitError::InvalidArgument(
-                "row program spans more chunks than bank x subarray arenas; \
-                 special rows would alias across chunks",
-            ));
+        if planes.is_empty() {
+            return Err(AmbitError::InvalidArgument("row program needs planes"));
         }
+        self.check_colocated(planes)?;
         for inst in insts {
             inst.validate(planes.len())
                 .map_err(AmbitError::PlanInvalid)?;
         }
-
-        let start_counts = *self.device.counts();
-        let start = self.clock;
-        let mut sites = std::mem::take(&mut self.site_buf);
-        sites.clear();
-        for (op_idx, inst) in insts.iter().enumerate() {
-            for chunk in 0..n_chunks {
-                let cmd = self.row_command_for(inst, chunk, planes);
-                sites.push(SiteCmd {
-                    site: self.fault_epoch + op_idx as u64,
-                    chunk,
-                    fault_rows: self.fault_rows_for(&cmd),
-                    cmd,
-                });
-            }
-        }
-        self.fault_epoch += insts.len() as u64;
-        let end = self.run_banked(&sites, start, n_chunks);
-        self.site_buf = sites;
-        let end = end?;
-        self.clock = end;
-        let delta = self.device.counts().since(&start_counts);
-        let cycles = end - start;
-        Ok(ExecReport {
-            cycles,
-            ns: self.device.spec().timing.cycles_to_ns(cycles),
-            commands: delta,
-            energy: self.energy.energy_of(&delta, 0, 0),
-            bytes_out: 0,
-        })
+        self.run_program(insts, planes, 0)
     }
 
     /// Bitwise majority of three vectors (`dst = MAJ(a, b, c)`) — the
@@ -1213,92 +1188,39 @@ impl AmbitSystem {
         c: &BulkVec,
         dst: &BulkVec,
     ) -> Result<ExecReport> {
-        self.check_colocated(&[a, b, c, dst])?;
-        let start_counts = *self.device.counts();
-        let start = self.clock;
+        let planes = [a, b, c, dst];
+        self.check_colocated(&planes)?;
         let n_chunks = dst.rows.len();
-        let ins = [a, b, c];
-        let mut sites = std::mem::take(&mut self.site_buf);
-        sites.clear();
-        for chunk in 0..n_chunks {
-            let bank = dst.rows[chunk].bank_id();
-            let sa = self.layout.subarray_of(dst.rows[chunk].row);
-            let t = |r: SpecialRow| self.layout.special_row(sa, r);
-            let cmds = [
-                Command::Aap {
-                    src: ins[0].rows[chunk],
-                    dst: bank.row(t(SpecialRow::T0)),
-                    invert: false,
-                },
-                Command::Aap {
-                    src: ins[1].rows[chunk],
-                    dst: bank.row(t(SpecialRow::T1)),
-                    invert: false,
-                },
-                Command::Aap {
-                    src: ins[2].rows[chunk],
-                    dst: bank.row(t(SpecialRow::T2)),
-                    invert: false,
-                },
-                Command::TraAap {
-                    bank,
-                    rows: [t(SpecialRow::T0), t(SpecialRow::T1), t(SpecialRow::T2)],
-                    dst: dst.rows[chunk].row,
-                    invert: false,
-                },
-            ];
-            for (op_idx, cmd) in cmds.into_iter().enumerate() {
-                let fault_rows = if self.tra_failure_rate > 0.0 && op_idx == 3 {
-                    FaultRows::single(dst.rows[chunk])
-                } else {
-                    FaultRows::default()
-                };
-                sites.push(SiteCmd {
-                    site: self.fault_epoch + op_idx as u64,
-                    chunk,
-                    cmd,
-                    fault_rows,
-                });
+        // Chunk-major, unlike `run_program`, for two reasons. The order is
+        // pinned: instruction-major issue leaves the cycles unchanged but
+        // reorders the normalized command trace of bit-serial adder plans
+        // on both DDR3 and the HMC vault. And each chunk finishes its TRA
+        // before the next chunk refills `T0..T2`, so the result stays
+        // correct past the arena count, where chunks share special rows.
+        self.replay(MAJ.len(), n_chunks, byte_len(dst), |sys, sites| {
+            for chunk in 0..n_chunks {
+                for (op_idx, inst) in MAJ.iter().enumerate() {
+                    sys.push_site(sites, inst, op_idx, chunk, &planes);
+                }
             }
-        }
-        self.fault_epoch += 4;
-        let end = self.run_banked(&sites, start, n_chunks);
-        self.site_buf = sites;
-        let end = end?;
-        self.clock = end;
-        self.report(start, end, start_counts, dst)
+        })
     }
 
     /// RowClone-FPM bulk copy (`dst = src`), one AAP per chunk.
     ///
     /// # Errors
     ///
-    /// Same compatibility errors as [`AmbitSystem::execute`].
+    /// Same compatibility errors as [`AmbitSystem::execute`], except that
+    /// any length is accepted (a copy writes no special row).
     pub fn copy(&mut self, src: &BulkVec, dst: &BulkVec) -> Result<ExecReport> {
-        self.check_colocated(&[src, dst])?;
-        let start_counts = *self.device.counts();
-        let start = self.clock;
-        let n_chunks = dst.rows.len();
-        let mut sites = std::mem::take(&mut self.site_buf);
-        sites.clear();
-        for chunk in 0..n_chunks {
-            sites.push(SiteCmd {
-                site: self.fault_epoch,
-                chunk,
-                cmd: Command::Aap {
-                    src: src.rows[chunk],
-                    dst: dst.rows[chunk],
-                    invert: false,
-                },
-                fault_rows: FaultRows::default(),
-            });
-        }
-        self.fault_epoch += 1;
-        let end = self.run_banked(&sites, start, n_chunks);
-        self.site_buf = sites;
-        let end = end?;
-        self.clock = end;
-        self.report(start, end, start_counts, dst)
+        let planes = [src, dst];
+        self.check_colocated(&planes)?;
+        let program = [RowInst::Copy {
+            src: RowSlot::Plane(0),
+            dst: RowSlot::Plane(1),
+            invert: false,
+        }];
+        self.run_program(&program, &planes, byte_len(dst))
     }
 
     /// Bulk initialization (`dst = 000…` or `111…`) by RowClone from the
@@ -1308,33 +1230,13 @@ impl AmbitSystem {
     ///
     /// [`AmbitError::Dram`] only on engine bugs.
     pub fn fill(&mut self, dst: &BulkVec, ones: bool) -> Result<ExecReport> {
-        let start_counts = *self.device.counts();
-        let start = self.clock;
-        let n_chunks = dst.rows.len();
-        let mut sites = std::mem::take(&mut self.site_buf);
-        sites.clear();
-        for (chunk, row) in dst.rows.iter().enumerate() {
-            let sa = self.layout.subarray_of(row.row);
-            let c = self
-                .layout
-                .special_row(sa, if ones { SpecialRow::C1 } else { SpecialRow::C0 });
-            sites.push(SiteCmd {
-                site: self.fault_epoch,
-                chunk,
-                cmd: Command::Aap {
-                    src: row.bank_id().row(c),
-                    dst: *row,
-                    invert: false,
-                },
-                fault_rows: FaultRows::default(),
-            });
-        }
-        self.fault_epoch += 1;
-        let end = self.run_banked(&sites, start, n_chunks);
-        self.site_buf = sites;
-        let end = end?;
-        self.clock = end;
-        self.report(start, end, start_counts, dst)
+        let control = if ones { SpecialRow::C1 } else { SpecialRow::C0 };
+        let program = [RowInst::Copy {
+            src: RowSlot::Special(control),
+            dst: RowSlot::Plane(0),
+            invert: false,
+        }];
+        self.run_program(&program, &[dst], byte_len(dst))
     }
 
     /// RowClone-PSM (pipelined serial mode) copy between banks: the row
@@ -1373,7 +1275,7 @@ impl AmbitSystem {
             self.device.store_mut().copy_row(s, d);
         }
         self.clock = end;
-        let mut report = self.report(start, end, start_counts, dst)?;
+        let mut report = self.report(start, end, start_counts, byte_len(dst));
         // PSM energy: two activations per row plus internal column movement.
         let rows = dst.rows.len() as f64;
         let row_kb = spec.org.row_bytes() as f64 / 1024.0;
@@ -1431,7 +1333,7 @@ impl AmbitSystem {
             self.device.store_mut().copy_row(s, d);
         }
         self.clock = end;
-        let mut report = self.report(start, end, start_counts, dst)?;
+        let mut report = self.report(start, end, start_counts, byte_len(dst));
         // Two activations per row plus a small per-hop buffer-drive cost.
         report.energy.add_nj(
             pim_energy::Component::PimOp,
@@ -1588,19 +1490,17 @@ impl AmbitSystem {
         start: Cycle,
         end: Cycle,
         start_counts: CommandCounts,
-        dst: &BulkVec,
-    ) -> Result<ExecReport> {
+        bytes_out: u64,
+    ) -> ExecReport {
         let delta = self.device.counts().since(&start_counts);
         let cycles = end - start;
-        let ns = self.device.spec().timing.cycles_to_ns(cycles);
-        let energy = self.energy.energy_of(&delta, 0, 0);
-        Ok(ExecReport {
+        ExecReport {
             cycles,
-            ns,
+            ns: self.device.spec().timing.cycles_to_ns(cycles),
             commands: delta,
-            energy,
-            bytes_out: (dst.len_bits as u64).div_ceil(8),
-        })
+            energy: self.energy.energy_of(&delta, 0, 0),
+            bytes_out,
+        }
     }
 
     /// Analytic per-op throughput (GB/s of output) for this device with all
@@ -1608,15 +1508,16 @@ impl AmbitSystem {
     /// should approach for large vectors.
     pub fn analytic_throughput_gbps(&self, op: BulkOp) -> f64 {
         let spec = self.device.spec();
-        let program = program_for(op);
-        let mut cycles = 0u64;
-        for mop in program.ops() {
-            cycles += if mop.is_aap_cost() {
-                spec.pim.aap
-            } else {
-                spec.pim.tra
-            };
-        }
+        let cycles: Cycle = program_for(op)
+            .iter()
+            .map(|inst| {
+                if inst.is_aap_cost() {
+                    spec.pim.aap
+                } else {
+                    spec.pim.tra
+                }
+            })
+            .sum();
         let ns = spec.timing.cycles_to_ns(cycles);
         let banks = spec.org.total_banks() as f64;
         spec.org.row_bytes() as f64 * banks / ns
@@ -2022,6 +1923,47 @@ mod tests {
         sys.write(&b, &bv).unwrap();
         sys.execute(BulkOp::Or, &a, Some(&b), &out).unwrap();
         assert_eq!(sys.read(&out), av.binary(BulkOp::Or, &bv));
+    }
+
+    #[test]
+    fn special_row_aliasing_past_the_arena_count_is_rejected() {
+        // One chunk more than the vault's bank x subarray arenas: chunks 0
+        // and 256 share a subarray's special rows, so an instruction-major
+        // program that writes them would mix the two chunks' temporaries.
+        let mut sys = AmbitSystem::new(AmbitConfig::hmc_vault());
+        let org = sys.spec().org;
+        let chunks = (org.total_banks() * org.subarrays) as usize + 1;
+        assert_eq!(chunks, 257);
+        let bits = sys.row_bits() * chunks;
+        let (av, bv, cv) = (
+            rand_bits(bits, 60),
+            rand_bits(bits, 61),
+            rand_bits(bits, 62),
+        );
+        let [a, b, c, out] = [(); 4].map(|_| sys.alloc(bits).unwrap());
+        sys.write(&a, &av).unwrap();
+        sys.write(&b, &bv).unwrap();
+        sys.write(&c, &cv).unwrap();
+        for op in BulkOp::ALL {
+            let res = sys.execute(op, &a, (!op.is_unary()).then_some(&b), &out);
+            assert!(
+                matches!(res, Err(AmbitError::InvalidArgument(_))),
+                "{op}: {res:?}"
+            );
+        }
+        // MAJ runs chunk-major; copy and fill write no special row.
+        sys.execute_maj(&a, &b, &c, &out).unwrap();
+        let got = sys.read(&out);
+        for i in 0..bits {
+            let (x, y, z) = (av.get(i), bv.get(i), cv.get(i));
+            assert_eq!(got.get(i), (x & y) | (y & z) | (x & z), "MAJ bit {i}");
+        }
+        sys.copy(&b, &out).unwrap();
+        assert_eq!(sys.read(&out), bv);
+        sys.fill(&out, true).unwrap();
+        assert_eq!(sys.read(&out).count_ones() as usize, bits);
+        sys.fill(&out, false).unwrap();
+        assert_eq!(sys.read(&out).count_ones(), 0);
     }
 
     #[test]

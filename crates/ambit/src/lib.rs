@@ -6,8 +6,10 @@
 //!
 //! * [`rows`] — the B/C/D row-group organization of each subarray
 //!   (designated rows `T0..T3`, dual-contact rows, control rows);
-//! * [`program`] — the AAP/TRA micro-op sequence for each of the seven
-//!   bulk operations, functionally verified for all inputs;
+//! * [`program`] — row programs: each of the seven bulk operations as a
+//!   [`RowInst`] sequence of AAP/TRA row commands over a plane table,
+//!   functionally verified for all inputs — the one instruction form the
+//!   engine replays, for compiled programs too;
 //! * [`engine`] — [`AmbitSystem`]: allocation of DRAM-resident bulk bit
 //!   vectors, execution with full command timing and bank-level
 //!   parallelism, RowClone FPM/PSM copies, bulk init, and whole
@@ -49,5 +51,5 @@ pub use analog::{monte_carlo_failure_rate, tra_trial, AnalogConfig};
 pub use engine::{AmbitConfig, AmbitSystem, BulkVec, ExecReport};
 pub use error::{AmbitError, Result};
 pub use gather::{strided_read, GatherConfig, StridedReport};
-pub use program::{program_for, Loc, MicroOp, MicroProgram, RowInst, RowSlot};
+pub use program::{program_for, RowInst, RowSlot};
 pub use rows::{SpecialRow, SubarrayLayout};

@@ -1,5 +1,8 @@
-//! Micro-op programs: how each bulk bitwise operation decomposes into
-//! AAP/TRA command sequences (Ambit MICRO'17 §5.3, Table 2).
+//! Row programs: how each bulk bitwise operation decomposes into
+//! AAP/TRA command sequences (Ambit MICRO'17 §5.3, Table 2), written as
+//! [`RowInst`] sequences over a plane table — the one instruction form
+//! the engine replays, for the built-in operations and compiled programs
+//! alike.
 //!
 //! Sequence lengths per operation, in row-op primitives:
 //!
@@ -22,111 +25,13 @@ use crate::rows::SpecialRow;
 use pim_workloads::BulkOp;
 use std::fmt;
 
-/// A row operand of a micro-op.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Loc {
-    /// The `i`-th input data row of the operation.
-    In(usize),
-    /// The output data row.
-    Out,
-    /// A reserved special row of the subarray.
-    Special(SpecialRow),
-}
-
-impl fmt::Display for Loc {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Loc::In(i) => write!(f, "in{i}"),
-            Loc::Out => f.write_str("out"),
-            Loc::Special(s) => write!(f, "{s}"),
-        }
-    }
-}
-
-/// One in-DRAM micro-operation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MicroOp {
-    /// AAP: copy `src` to `dst`, optionally through a DCC negated port.
-    Copy {
-        /// Source row.
-        src: Loc,
-        /// Destination row.
-        dst: Loc,
-        /// Capture the complement (requires `dst` to be a DCC row, or the
-        /// source value to pass through one — enforced by the tests).
-        invert: bool,
-    },
-    /// In-place triple-row activation: all three rows end up holding the
-    /// bitwise majority. Costs one AP.
-    Tra {
-        /// The three activated rows.
-        rows: [Loc; 3],
-    },
-    /// Fused TRA + copy-out: majority of `rows` lands in `dst`
-    /// (optionally inverted). Costs one AAP.
-    TraCopy {
-        /// The three activated rows.
-        rows: [Loc; 3],
-        /// Destination row.
-        dst: Loc,
-        /// Capture the complement.
-        invert: bool,
-    },
-}
-
-impl MicroOp {
-    /// `true` if this op costs a full AAP (vs. a single AP row cycle).
-    pub const fn is_aap_cost(&self) -> bool {
-        matches!(self, MicroOp::Copy { .. } | MicroOp::TraCopy { .. })
-    }
-}
-
-/// The micro-op sequence implementing one [`BulkOp`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MicroProgram {
-    op: BulkOp,
-    ops: Vec<MicroOp>,
-}
-
-impl MicroProgram {
-    /// The implemented bulk operation.
-    pub fn op(&self) -> BulkOp {
-        self.op
-    }
-
-    /// The micro-ops in execution order.
-    pub fn ops(&self) -> &[MicroOp] {
-        &self.ops
-    }
-
-    /// Number of micro-ops.
-    pub fn len(&self) -> usize {
-        self.ops.len()
-    }
-
-    /// `true` if the program is empty (never for valid ops).
-    pub fn is_empty(&self) -> bool {
-        self.ops.is_empty()
-    }
-
-    /// Cost in *AAP equivalents*: AAP-cost ops count 1, AP-cost TRAs count
-    /// `ap_cost` (≈ 0.58 on DDR3-1600).
-    pub fn aap_equivalents(&self, ap_cost: f64) -> f64 {
-        self.ops
-            .iter()
-            .map(|o| if o.is_aap_cost() { 1.0 } else { ap_cost })
-            .sum()
-    }
-}
-
-/// A row operand of a compiled row-program instruction ([`RowInst`]).
+/// A row operand of a row-program instruction ([`RowInst`]).
 ///
-/// Unlike [`Loc`], which names the fixed operand shape of the seven
-/// built-in bulk operations, a `RowSlot` addresses an arbitrary *plane
-/// table*: the co-located bulk vectors a compiler hands to
-/// [`execute_row_program`](crate::AmbitSystem::execute_row_program)
-/// (input planes, output planes, and scratch rows, in whatever order the
-/// compiler chose), plus the subarray's reserved special rows.
+/// A `RowSlot` addresses a *plane table* — the co-located bulk vectors an
+/// operation runs over: `[in0, in1?, out]` for the seven built-in bulk
+/// operations, or whatever input, output and scratch planes a compiler
+/// hands to [`execute_row_program`](crate::AmbitSystem::execute_row_program)
+/// — plus the subarray's reserved special rows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RowSlot {
     /// The `i`-th plane of the caller's plane table.
@@ -144,10 +49,10 @@ impl fmt::Display for RowSlot {
     }
 }
 
-/// One instruction of a compiled row-program: the same AAP/TRA primitive
-/// set as [`MicroOp`], but over [`RowSlot`] operands so a bit-serial
-/// compiler (`pim-simd`) can sequence arbitrarily many scratch rows
-/// instead of the fixed `T0..T3` temporaries.
+/// One instruction of a row program — one AAP, AP or fused TRA-AAP row
+/// command over [`RowSlot`] operands. The built-in programs use the
+/// special rows `T0..T3` as temporaries; a bit-serial compiler
+/// (`pim-simd`) can sequence arbitrarily many scratch planes instead.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RowInst {
     /// AAP: copy `src` to `dst`, optionally capturing the complement
@@ -182,6 +87,17 @@ impl RowInst {
     /// `true` if this instruction costs a full AAP (vs. a single AP).
     pub const fn is_aap_cost(&self) -> bool {
         matches!(self, RowInst::Copy { .. } | RowInst::TraCopy { .. })
+    }
+
+    /// The rows this instruction writes: a copy's destination, and every
+    /// row a TRA charge-shares (plus a fused copy's destination).
+    pub(crate) fn written(&self) -> impl Iterator<Item = RowSlot> + '_ {
+        let (rows, dst): (&[RowSlot], _) = match self {
+            RowInst::Copy { dst, .. } => (&[], Some(*dst)),
+            RowInst::Tra { rows } => (rows, None),
+            RowInst::TraCopy { rows, dst, .. } => (rows, Some(*dst)),
+        };
+        rows.iter().copied().chain(dst)
     }
 
     /// Checks this instruction against the hardware discipline the seven
@@ -241,282 +157,211 @@ impl RowInst {
     }
 }
 
-/// Builds the micro-op program for `op`.
-pub fn program_for(op: BulkOp) -> MicroProgram {
-    use Loc::{In, Out, Special};
-    use SpecialRow::{Dcc0, Dcc1, C0, C1, T0, T1, T2, T3};
-    let ops = match op {
-        // Copy the source through DCC0's negated wordline, then copy out.
-        BulkOp::Not => vec![
-            MicroOp::Copy {
-                src: In(0),
-                dst: Special(Dcc0),
-                invert: true,
-            },
-            MicroOp::Copy {
-                src: Special(Dcc0),
-                dst: Out,
-                invert: false,
-            },
-        ],
-        // MAJ(a, b, 0) = a AND b.
-        BulkOp::And => vec![
-            MicroOp::Copy {
-                src: In(0),
-                dst: Special(T0),
-                invert: false,
-            },
-            MicroOp::Copy {
-                src: In(1),
-                dst: Special(T1),
-                invert: false,
-            },
-            MicroOp::Copy {
-                src: Special(C0),
-                dst: Special(T2),
-                invert: false,
-            },
-            MicroOp::TraCopy {
-                rows: [Special(T0), Special(T1), Special(T2)],
-                dst: Out,
-                invert: false,
-            },
-        ],
-        // MAJ(a, b, 1) = a OR b.
-        BulkOp::Or => vec![
-            MicroOp::Copy {
-                src: In(0),
-                dst: Special(T0),
-                invert: false,
-            },
-            MicroOp::Copy {
-                src: In(1),
-                dst: Special(T1),
-                invert: false,
-            },
-            MicroOp::Copy {
-                src: Special(C1),
-                dst: Special(T2),
-                invert: false,
-            },
-            MicroOp::TraCopy {
-                rows: [Special(T0), Special(T1), Special(T2)],
-                dst: Out,
-                invert: false,
-            },
-        ],
-        // AND captured through DCC0's negated port, then copied out.
-        BulkOp::Nand => vec![
-            MicroOp::Copy {
-                src: In(0),
-                dst: Special(T0),
-                invert: false,
-            },
-            MicroOp::Copy {
-                src: In(1),
-                dst: Special(T1),
-                invert: false,
-            },
-            MicroOp::Copy {
-                src: Special(C0),
-                dst: Special(T2),
-                invert: false,
-            },
-            MicroOp::TraCopy {
-                rows: [Special(T0), Special(T1), Special(T2)],
-                dst: Special(Dcc0),
-                invert: true,
-            },
-            MicroOp::Copy {
-                src: Special(Dcc0),
-                dst: Out,
-                invert: false,
-            },
-        ],
-        BulkOp::Nor => vec![
-            MicroOp::Copy {
-                src: In(0),
-                dst: Special(T0),
-                invert: false,
-            },
-            MicroOp::Copy {
-                src: In(1),
-                dst: Special(T1),
-                invert: false,
-            },
-            MicroOp::Copy {
-                src: Special(C1),
-                dst: Special(T2),
-                invert: false,
-            },
-            MicroOp::TraCopy {
-                rows: [Special(T0), Special(T1), Special(T2)],
-                dst: Special(Dcc0),
-                invert: true,
-            },
-            MicroOp::Copy {
-                src: Special(Dcc0),
-                dst: Out,
-                invert: false,
-            },
-        ],
-        // xor = (a & !b) | (!a & b)
-        BulkOp::Xor => vec![
-            MicroOp::Copy {
-                src: In(1),
-                dst: Special(Dcc0),
-                invert: true,
-            }, // DCC0 = !b
-            MicroOp::Copy {
-                src: In(0),
-                dst: Special(T0),
-                invert: false,
-            }, // T0 = a
-            MicroOp::Copy {
-                src: Special(C0),
-                dst: Special(T1),
-                invert: false,
-            }, // T1 = 0
-            MicroOp::Tra {
-                rows: [Special(T0), Special(Dcc0), Special(T1)],
-            }, // all = a & !b
-            MicroOp::Copy {
-                src: In(0),
-                dst: Special(Dcc1),
-                invert: true,
-            }, // DCC1 = !a
-            MicroOp::Copy {
-                src: In(1),
-                dst: Special(T2),
-                invert: false,
-            }, // T2 = b
-            MicroOp::Copy {
-                src: Special(C0),
-                dst: Special(T3),
-                invert: false,
-            }, // T3 = 0
-            MicroOp::Tra {
-                rows: [Special(T2), Special(Dcc1), Special(T3)],
-            }, // all = !a & b
-            MicroOp::Copy {
-                src: Special(C1),
-                dst: Special(T1),
-                invert: false,
-            }, // T1 = 1
-            MicroOp::TraCopy {
-                rows: [Special(T0), Special(T2), Special(T1)],
-                dst: Out,
-                invert: false,
-            },
-        ],
-        // xnor = (a & b) | (!a & !b)
-        BulkOp::Xnor => vec![
-            MicroOp::Copy {
-                src: In(0),
-                dst: Special(T0),
-                invert: false,
-            },
-            MicroOp::Copy {
-                src: In(1),
-                dst: Special(T1),
-                invert: false,
-            },
-            MicroOp::Copy {
-                src: Special(C0),
-                dst: Special(T2),
-                invert: false,
-            },
-            MicroOp::Tra {
-                rows: [Special(T0), Special(T1), Special(T2)],
-            }, // all = a & b
-            MicroOp::Copy {
-                src: In(0),
-                dst: Special(Dcc0),
-                invert: true,
-            }, // DCC0 = !a
-            MicroOp::Copy {
-                src: In(1),
-                dst: Special(Dcc1),
-                invert: true,
-            }, // DCC1 = !b
-            MicroOp::Copy {
-                src: Special(C0),
-                dst: Special(T3),
-                invert: false,
-            },
-            MicroOp::Tra {
-                rows: [Special(Dcc0), Special(Dcc1), Special(T3)],
-            }, // = !a & !b
-            MicroOp::Copy {
-                src: Special(C1),
-                dst: Special(T1),
-                invert: false,
-            }, // T1 = 1
-            MicroOp::TraCopy {
-                rows: [Special(T0), Special(Dcc0), Special(T1)],
-                dst: Out,
-                invert: false,
-            },
-        ],
-    };
-    MicroProgram { op, ops }
+// Slots of the built-in programs. Binary operations run over the plane
+// table `[in0, in1, out]`, NOT over `[in0, out]`.
+const IN0: RowSlot = RowSlot::Plane(0);
+const IN1: RowSlot = RowSlot::Plane(1);
+const OUT: RowSlot = RowSlot::Plane(2);
+const NOT_OUT: RowSlot = RowSlot::Plane(1);
+const T0: RowSlot = RowSlot::Special(SpecialRow::T0);
+const T1: RowSlot = RowSlot::Special(SpecialRow::T1);
+const T2: RowSlot = RowSlot::Special(SpecialRow::T2);
+const T3: RowSlot = RowSlot::Special(SpecialRow::T3);
+const DCC0: RowSlot = RowSlot::Special(SpecialRow::Dcc0);
+const DCC1: RowSlot = RowSlot::Special(SpecialRow::Dcc1);
+const C0: RowSlot = RowSlot::Special(SpecialRow::C0);
+const C1: RowSlot = RowSlot::Special(SpecialRow::C1);
+
+const fn copy(src: RowSlot, dst: RowSlot) -> RowInst {
+    RowInst::Copy {
+        src,
+        dst,
+        invert: false,
+    }
+}
+
+const fn copy_not(src: RowSlot, dst: RowSlot) -> RowInst {
+    RowInst::Copy {
+        src,
+        dst,
+        invert: true,
+    }
+}
+
+const fn tra(rows: [RowSlot; 3]) -> RowInst {
+    RowInst::Tra { rows }
+}
+
+const fn tra_copy(rows: [RowSlot; 3], dst: RowSlot) -> RowInst {
+    RowInst::TraCopy {
+        rows,
+        dst,
+        invert: false,
+    }
+}
+
+const fn tra_copy_not(rows: [RowSlot; 3], dst: RowSlot) -> RowInst {
+    RowInst::TraCopy {
+        rows,
+        dst,
+        invert: true,
+    }
+}
+
+/// Copy the source through DCC0's negated wordline, then copy out.
+const NOT: &[RowInst] = &[copy_not(IN0, DCC0), copy(DCC0, NOT_OUT)];
+/// MAJ(a, b, 0) = a AND b.
+const AND: &[RowInst] = &[
+    copy(IN0, T0),
+    copy(IN1, T1),
+    copy(C0, T2),
+    tra_copy([T0, T1, T2], OUT),
+];
+/// MAJ(a, b, 1) = a OR b.
+const OR: &[RowInst] = &[
+    copy(IN0, T0),
+    copy(IN1, T1),
+    copy(C1, T2),
+    tra_copy([T0, T1, T2], OUT),
+];
+/// AND captured through DCC0's negated port, then copied out.
+const NAND: &[RowInst] = &[
+    copy(IN0, T0),
+    copy(IN1, T1),
+    copy(C0, T2),
+    tra_copy_not([T0, T1, T2], DCC0),
+    copy(DCC0, OUT),
+];
+const NOR: &[RowInst] = &[
+    copy(IN0, T0),
+    copy(IN1, T1),
+    copy(C1, T2),
+    tra_copy_not([T0, T1, T2], DCC0),
+    copy(DCC0, OUT),
+];
+/// xor = (a & !b) | (!a & b)
+const XOR: &[RowInst] = &[
+    copy_not(IN1, DCC0), // DCC0 = !b
+    copy(IN0, T0),
+    copy(C0, T1),
+    tra([T0, DCC0, T1]), // all = a & !b
+    copy_not(IN0, DCC1), // DCC1 = !a
+    copy(IN1, T2),
+    copy(C0, T3),
+    tra([T2, DCC1, T3]), // all = !a & b
+    copy(C1, T1),
+    tra_copy([T0, T2, T1], OUT),
+];
+/// xnor = (a & b) | (!a & !b)
+const XNOR: &[RowInst] = &[
+    copy(IN0, T0),
+    copy(IN1, T1),
+    copy(C0, T2),
+    tra([T0, T1, T2]),   // all = a & b
+    copy_not(IN0, DCC0), // DCC0 = !a
+    copy_not(IN1, DCC1), // DCC1 = !b
+    copy(C0, T3),
+    tra([DCC0, DCC1, T3]), // = !a & !b
+    copy(C1, T1),
+    tra_copy([T0, DCC0, T1], OUT),
+];
+
+/// `dst = MAJ(a, b, c)` over the plane table `[a, b, c, dst]`: one copy
+/// per operand plus one fused TRA-copy.
+pub(crate) const MAJ: &[RowInst] = &[
+    copy(RowSlot::Plane(0), T0),
+    copy(RowSlot::Plane(1), T1),
+    copy(RowSlot::Plane(2), T2),
+    tra_copy([T0, T1, T2], RowSlot::Plane(3)),
+];
+
+/// The row program for `op`, over the plane table `[in0, in1, out]`
+/// (`[in0, out]` for NOT).
+pub fn program_for(op: BulkOp) -> &'static [RowInst] {
+    match op {
+        BulkOp::Not => NOT,
+        BulkOp::And => AND,
+        BulkOp::Or => OR,
+        BulkOp::Nand => NAND,
+        BulkOp::Nor => NOR,
+        BulkOp::Xor => XOR,
+        BulkOp::Xnor => XNOR,
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
 
-    /// Symbolic executor over plain booleans: proves every program computes
-    /// its operation for all input combinations, including TRA side
-    /// effects on the participating rows.
-    fn run_symbolic(prog: &MicroProgram, a: bool, b: bool) -> bool {
-        use std::collections::HashMap;
-        let mut env: HashMap<String, bool> = HashMap::new();
-        env.insert("in0".into(), a);
-        env.insert("in1".into(), b);
-        env.insert("C0".into(), false);
-        env.insert("C1".into(), true);
-        let read = |env: &HashMap<String, bool>, l: &Loc| -> bool {
-            *env.get(&l.to_string())
-                .unwrap_or_else(|| panic!("read of undefined {l}"))
+    /// The plane count of `op`'s table: its inputs plus the output.
+    fn n_planes(op: BulkOp) -> usize {
+        if op.is_unary() {
+            2
+        } else {
+            3
+        }
+    }
+
+    /// Symbolic executor over plain booleans: `inputs` fill the first
+    /// planes, the last plane is the output. Proves a program computes its
+    /// operation for the given inputs, including TRA side effects on the
+    /// participating rows.
+    fn run_symbolic(prog: &[RowInst], inputs: &[bool]) -> bool {
+        let mut env: HashMap<RowSlot, bool> = HashMap::new();
+        for (i, &v) in inputs.iter().enumerate() {
+            env.insert(RowSlot::Plane(i as u32), v);
+        }
+        env.insert(C0, false);
+        env.insert(C1, true);
+        let read = |env: &HashMap<RowSlot, bool>, s: &RowSlot| -> bool {
+            *env.get(s)
+                .unwrap_or_else(|| panic!("read of undefined {s}"))
         };
-        for op in prog.ops() {
-            match op {
-                MicroOp::Copy { src, dst, invert } => {
+        // A TRA leaves the majority in all three rows.
+        let tra = |env: &mut HashMap<RowSlot, bool>, rows: &[RowSlot; 3]| -> bool {
+            let [a, b, c] = rows.map(|r| read(env, &r));
+            let maj = (a & b) | (b & c) | (a & c);
+            for r in rows {
+                env.insert(*r, maj);
+            }
+            maj
+        };
+        for inst in prog {
+            match inst {
+                RowInst::Copy { src, dst, invert } => {
                     let v = read(&env, src) ^ invert;
-                    env.insert(dst.to_string(), v);
+                    env.insert(*dst, v);
                 }
-                MicroOp::Tra { rows } => {
-                    let vals: Vec<bool> = rows.iter().map(|r| read(&env, r)).collect();
-                    let maj = (vals[0] & vals[1]) | (vals[1] & vals[2]) | (vals[0] & vals[2]);
-                    for r in rows {
-                        env.insert(r.to_string(), maj);
-                    }
+                RowInst::Tra { rows } => {
+                    tra(&mut env, rows);
                 }
-                MicroOp::TraCopy { rows, dst, invert } => {
-                    let vals: Vec<bool> = rows.iter().map(|r| read(&env, r)).collect();
-                    let maj = (vals[0] & vals[1]) | (vals[1] & vals[2]) | (vals[0] & vals[2]);
-                    for r in rows {
-                        env.insert(r.to_string(), maj);
-                    }
-                    env.insert(dst.to_string(), maj ^ invert);
+                RowInst::TraCopy { rows, dst, invert } => {
+                    let maj = tra(&mut env, rows);
+                    env.insert(*dst, maj ^ invert);
                 }
             }
         }
-        *env.get("out").expect("program must write `out`")
+        let out = RowSlot::Plane(inputs.len() as u32);
+        *env.get(&out).expect("program must write its output plane")
     }
 
     #[test]
     fn every_program_is_functionally_correct() {
         for op in BulkOp::ALL {
-            let prog = program_for(op);
             for a in [false, true] {
                 for b in [false, true] {
-                    let got = run_symbolic(&prog, a, b);
+                    let inputs = &[a, b][..n_planes(op) - 1];
+                    let got = run_symbolic(program_for(op), inputs);
                     let expect = op.apply_word(a as u64, b as u64) & 1 == 1;
                     assert_eq!(got, expect, "{op} a={a} b={b}");
                 }
             }
+        }
+        for bits in 0..8u8 {
+            let [a, b, c] = [bits & 1 != 0, bits & 2 != 0, bits & 4 != 0];
+            let expect = (a & b) | (b & c) | (a & c);
+            assert_eq!(run_symbolic(MAJ, &[a, b, c]), expect, "MAJ({a}, {b}, {c})");
         }
     }
 
@@ -530,22 +375,44 @@ mod tests {
         // Documented deviation: 10 primitives instead of the paper's 7.
         assert_eq!(program_for(BulkOp::Xor).len(), 10);
         assert_eq!(program_for(BulkOp::Xnor).len(), 10);
+        assert_eq!(MAJ.len(), 4);
+    }
+
+    #[test]
+    fn every_builtin_program_obeys_the_row_discipline() {
+        // `validate` rejects negated captures outside DCC rows and writes
+        // to the control rows, among other violations.
+        let programs = BulkOp::ALL
+            .iter()
+            .map(|&op| (op.to_string(), program_for(op), n_planes(op)))
+            .chain([("MAJ".to_string(), MAJ, 4)]);
+        for (name, prog, n) in programs {
+            for inst in prog {
+                inst.validate(n).unwrap_or_else(|e| panic!("{name}: {e}"));
+            }
+        }
     }
 
     #[test]
     fn inverted_captures_only_target_dcc_rows() {
-        for op in BulkOp::ALL {
-            for mop in program_for(op).ops() {
-                if let MicroOp::Copy {
+        let programs = BulkOp::ALL
+            .iter()
+            .map(|&op| (op.to_string(), program_for(op)))
+            .chain([("MAJ".to_string(), MAJ)]);
+        for (name, prog) in programs {
+            for inst in prog {
+                if let RowInst::Copy {
                     dst, invert: true, ..
                 }
-                | MicroOp::TraCopy {
+                | RowInst::TraCopy {
                     dst, invert: true, ..
-                } = mop
+                } = inst
                 {
                     match dst {
-                        Loc::Special(s) => assert!(s.is_dcc(), "{op}: negated capture into {s}"),
-                        other => panic!("{op}: negated capture into non-special {other}"),
+                        RowSlot::Special(s) => {
+                            assert!(s.is_dcc(), "{name}: negated capture into {s}")
+                        }
+                        other => panic!("{name}: negated capture into non-special {other}"),
                     }
                 }
             }
@@ -554,25 +421,16 @@ mod tests {
 
     #[test]
     fn control_rows_are_never_written() {
-        for op in BulkOp::ALL {
-            for mop in program_for(op).ops() {
-                let written: Vec<Loc> = match *mop {
-                    MicroOp::Copy { dst, .. } => vec![dst],
-                    MicroOp::Tra { rows } => rows.to_vec(),
-                    MicroOp::TraCopy { rows, dst, .. } => {
-                        let mut v = rows.to_vec();
-                        v.push(dst);
-                        v
-                    }
-                };
-                for w in written {
-                    if let Loc::Special(s) = w {
-                        assert!(
-                            !matches!(s, SpecialRow::C0 | SpecialRow::C1),
-                            "{op} writes control row {s}"
-                        );
-                    }
-                }
+        let programs = BulkOp::ALL
+            .iter()
+            .map(|&op| (op.to_string(), program_for(op)))
+            .chain([("MAJ".to_string(), MAJ)]);
+        for (name, prog) in programs {
+            for w in prog.iter().flat_map(RowInst::written) {
+                assert!(
+                    !matches!(w, RowSlot::Special(SpecialRow::C0 | SpecialRow::C1)),
+                    "{name} writes control row {w}"
+                );
             }
         }
     }
@@ -581,31 +439,33 @@ mod tests {
     fn inputs_are_never_written() {
         // Bulk ops must not clobber their operands (RowClone copies them
         // into the B-group first).
-        for op in BulkOp::ALL {
-            for mop in program_for(op).ops() {
-                let written: Vec<Loc> = match *mop {
-                    MicroOp::Copy { dst, .. } => vec![dst],
-                    MicroOp::Tra { rows } => rows.to_vec(),
-                    MicroOp::TraCopy { rows, dst, .. } => {
-                        let mut v = rows.to_vec();
-                        v.push(dst);
-                        v
-                    }
-                };
-                for w in written {
-                    assert!(!matches!(w, Loc::In(_)), "{op} writes an input row");
-                }
+        let programs = BulkOp::ALL
+            .iter()
+            .map(|&op| (op.to_string(), program_for(op), n_planes(op) - 1))
+            .chain([("MAJ".to_string(), MAJ, 3)]);
+        for (name, prog, n_inputs) in programs {
+            for w in prog.iter().flat_map(RowInst::written) {
+                assert!(
+                    !matches!(w, RowSlot::Plane(i) if (i as usize) < n_inputs),
+                    "{name} writes input {w}"
+                );
             }
         }
     }
 
     #[test]
     fn aap_equivalents_ordering() {
+        // Cost in AAP equivalents: AAP-cost instructions count 1, AP-cost
+        // TRAs count `ap_cost` (≈ 0.58 on DDR3-1600).
         let ap_cost = 0.58;
-        let not = program_for(BulkOp::Not).aap_equivalents(ap_cost);
-        let and = program_for(BulkOp::And).aap_equivalents(ap_cost);
-        let nand = program_for(BulkOp::Nand).aap_equivalents(ap_cost);
-        let xor = program_for(BulkOp::Xor).aap_equivalents(ap_cost);
+        let cost = |op| -> f64 {
+            program_for(op)
+                .iter()
+                .map(|i| if i.is_aap_cost() { 1.0 } else { ap_cost })
+                .sum()
+        };
+        let (not, and) = (cost(BulkOp::Not), cost(BulkOp::And));
+        let (nand, xor) = (cost(BulkOp::Nand), cost(BulkOp::Xor));
         assert!(not < and && and < nand && nand < xor);
         assert_eq!(not, 2.0);
         assert_eq!(and, 4.0);
