@@ -665,6 +665,80 @@ mod tests {
         assert!((slice.get("ts").unwrap().as_f64().unwrap() - 50.0 * 1.25 / 1000.0).abs() < 1e-12);
     }
 
+    /// Array element `i` of `v`.
+    fn at(v: &mut Value, i: usize) -> &mut Value {
+        match v {
+            Value::Array(items) => &mut items[i],
+            other => panic!("not an array: {other:?}"),
+        }
+    }
+
+    /// Event `i` of the first group.
+    fn event(v: &mut Value, i: usize) -> &mut Value {
+        at(&mut at(&mut v["groups"], 0)["events"], i)
+    }
+
+    /// One mutation of a good envelope per schema rule; each must be
+    /// rejected. The sample's events normalize to `queue` (a counter),
+    /// `channel/0`, `bank/0`, `bank/1`; job 1 carries phases.
+    #[test]
+    fn every_schema_rule_rejects_its_violation() {
+        let good = sample_profile().to_value();
+        let rules: [(&str, fn(&mut Value)); 13] = [
+            ("format tag", |v| {
+                v["format"] = Value::Str("PIMPROF99".into())
+            }),
+            ("meta values are strings", |v| {
+                v["meta"]["experiment"] = Value::Num(1.0)
+            }),
+            ("ns_per_cycle is positive", |v| {
+                at(&mut v["groups"], 0)["ns_per_cycle"] = Value::Num(0.0)
+            }),
+            ("lane labels parse", |v| {
+                event(v, 2)["lane"] = Value::Str("bunk/0".into())
+            }),
+            ("events end after they start", |v| {
+                event(v, 3)["end"] = Value::Num(10.0)
+            }),
+            ("counter events are instantaneous", |v| {
+                event(v, 0)["end"] = Value::Num(5.0)
+            }),
+            ("events in canonical order", |v| {
+                if let Value::Array(events) = &mut at(&mut v["groups"], 0)["events"] {
+                    events.reverse();
+                }
+            }),
+            ("jobs sorted by id", |v| {
+                at(&mut v["jobs"], 0)["id"] = Value::Num(2.0)
+            }),
+            ("advised is bool or null", |v| {
+                at(&mut v["jobs"], 0)["advised"] = Value::Num(1.0)
+            }),
+            ("phases is object or null", |v| {
+                at(&mut v["jobs"], 1)["phases"] = Value::Num(1.0)
+            }),
+            ("phases are monotonic", |v| {
+                at(&mut v["jobs"], 1)["phases"]["exec_end"] = Value::Num(0.0)
+            }),
+            ("traceEvents phase is M, X or C", |v| {
+                at(&mut v["traceEvents"], 0)["ph"] = Value::Str("B".into())
+            }),
+            ("traceEvents pid is an integer", |v| {
+                at(&mut v["traceEvents"], 0)["pid"] = Value::Num(0.5)
+            }),
+        ];
+        let text = |v: &Value| serde_json::to_string(v).expect("finite values");
+        assert!(Profile::from_json_str(&text(&good)).is_ok());
+        for (rule, violate) in rules {
+            let mut bad = good.clone();
+            violate(&mut bad);
+            assert!(
+                Profile::from_json_str(&text(&bad)).is_err(),
+                "accepted a violation of: {rule}"
+            );
+        }
+    }
+
     #[test]
     fn validate_rejects_corruption() {
         let p = sample_profile();

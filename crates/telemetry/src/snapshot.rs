@@ -612,6 +612,78 @@ mod tests {
         assert!(Snapshot::validate_json("not json").is_err());
     }
 
+    /// Array element `i` of `v`.
+    fn at(v: &mut Value, i: usize) -> &mut Value {
+        match v {
+            Value::Array(items) => &mut items[i],
+            other => panic!("not an array: {other:?}"),
+        }
+    }
+
+    /// The first exported metric entry named `name`.
+    fn metric<'a>(v: &'a mut Value, name: &str) -> &'a mut Value {
+        match &mut v["metrics"] {
+            Value::Array(items) => items
+                .iter_mut()
+                .find(|m| m["name"].as_str() == Some(name))
+                .expect("a metric of that name"),
+            other => panic!("not an array: {other:?}"),
+        }
+    }
+
+    /// One mutation of a good envelope per schema rule; each must be
+    /// rejected.
+    #[test]
+    fn every_schema_rule_rejects_its_violation() {
+        let good = Snapshot::from_sink(sample_sink())
+            .with_meta("experiment", "unit")
+            .to_value();
+        let rules: [(&str, fn(&mut Value)); 10] = [
+            ("format tag", |v| {
+                v["format"] = Value::Str("PIMTEL99".into())
+            }),
+            ("meta values are strings", |v| {
+                v["meta"]["experiment"] = Value::Num(1.0)
+            }),
+            ("metric kind is known", |v| {
+                metric(v, "queue.depth")["kind"] = Value::Str("meter".into())
+            }),
+            ("gauge high_water >= value", |v| {
+                metric(v, "queue.depth")["high_water"] = Value::Num(2.0)
+            }),
+            ("histogram has bounds + 1 counts", |v| {
+                if let Value::Array(counts) = &mut metric(v, "chunk")["counts"] {
+                    counts.pop();
+                }
+            }),
+            ("histogram bounds strictly ascending", |v| {
+                *at(&mut metric(v, "chunk")["bounds"], 1) = Value::Num(1.0)
+            }),
+            ("spans sorted by id", |v| {
+                at(&mut v["spans"], 0)["id"] = Value::Num(2.0)
+            }),
+            ("advised is bool or null", |v| {
+                at(&mut v["spans"], 0)["advised"] = Value::Num(1.0)
+            }),
+            ("exec is object or null", |v| {
+                at(&mut v["spans"], 1)["exec"] = Value::Num(1.0)
+            }),
+            ("exec ends after it starts", |v| {
+                at(&mut v["spans"], 1)["exec"]["end"] = Value::Num(3.0)
+            }),
+        ];
+        let text = |v: &Value| serde_json::to_string(v).expect("finite values");
+        assert!(Snapshot::from_json_str(&text(&good)).is_ok());
+        for (rule, violate) in rules {
+            let mut bad = good.clone();
+            violate(&mut bad);
+            assert!(
+                Snapshot::from_json_str(&text(&bad)).is_err(),
+                "accepted a violation of: {rule}"
+            );
+        }
+    }
+
     #[test]
     fn table_renders_all_series() {
         let snap = Snapshot::from_sink(sample_sink()).with_meta("experiment", "unit");
