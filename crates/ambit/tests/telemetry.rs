@@ -69,7 +69,6 @@ proptest! {
         let first = run_programs(&descr, seed);
         let second = run_programs(&descr, seed);
         prop_assert_eq!(&first, &second, "telemetry must be deterministic");
-        Snapshot::validate_json(&first).expect("snapshot validates");
         let snap = Snapshot::from_json_str(&first).expect("snapshot parses");
         let sink = snap.into_sink();
         prop_assert_eq!(sink.counter_total("ambit.ops"), descr.len() as u64);

@@ -1,11 +1,12 @@
-//! Validates and summarizes `PIMPROF01` profile exports: every path
+//! Decodes and summarizes `PIMPROF01` profile exports: every path
 //! given on the command line (or, with none, every `.json` under
-//! `results/profile/`) is checked against the envelope validator —
-//! format tag, monotone event intervals, phase-partition invariants,
-//! and the derived Chrome `traceEvents` — then rendered as the
-//! analytics report: per-kind latency percentiles, queue-wait vs
-//! execute vs drain attribution, lane utilization with straggler
-//! ranking, per-batch critical paths, and advisor calibration.
+//! `results/profile/`) is read once by `Profile::from_json_str`, which
+//! checks the format tag, monotone event intervals, phase-partition
+//! invariants, and the derived Chrome `traceEvents` as it decodes,
+//! then rendered as the analytics report: per-kind latency
+//! percentiles, queue-wait vs execute vs drain attribution, lane
+//! utilization with straggler ranking, per-batch critical paths, and
+//! advisor calibration.
 //! Exits nonzero on the first invalid or unreadable file.
 //! Shared flags: `--quiet`, `--telemetry[=path]` (JSON run report).
 
@@ -45,11 +46,13 @@ fn main() {
                 std::process::exit(2);
             }
         };
-        if let Err(e) = pim_profile::Profile::validate_json(&text) {
-            eprintln!("profile_report: {}: invalid PIMPROF01: {e}", path.display());
-            std::process::exit(1);
-        }
-        let profile = pim_profile::Profile::from_json_str(&text).expect("validated above");
+        let profile = match pim_profile::Profile::from_json_str(&text) {
+            Ok(profile) => profile,
+            Err(e) => {
+                eprintln!("profile_report: {}: invalid PIMPROF01: {e}", path.display());
+                std::process::exit(1);
+            }
+        };
         log.event(
             "profile",
             format!(

@@ -1,8 +1,9 @@
 //! Validates machine-readable run reports (`PIMRUN01`, written by the
 //! experiment binaries' `--telemetry` flag) and bare telemetry
 //! snapshots (`PIMTEL01`): format tags, table shapes, metric kinds, and
-//! span ordering. Exits non-zero on the first invalid file — this is
-//! the CI gate on generated telemetry.
+//! span ordering. A snapshot is valid when its one reader,
+//! `Snapshot::from_json_str`, decodes it. Exits non-zero on the first
+//! invalid file — this is the CI gate on generated telemetry.
 //!
 //! Usage: `telemetry_validate <report.json>...`
 
@@ -20,7 +21,9 @@ fn main() -> ExitCode {
             .map_err(|e| format!("read failed: {e}"))
             .and_then(|text| {
                 if text.contains("\"PIMTEL01\"") && !text.contains("\"PIMRUN01\"") {
-                    pim_telemetry::Snapshot::validate_json(&text).map_err(|e| e.to_string())
+                    pim_telemetry::Snapshot::from_json_str(&text)
+                        .map(drop)
+                        .map_err(|e| e.to_string())
                 } else {
                     pim_bench::report::validate_report(&text)
                 }

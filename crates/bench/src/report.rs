@@ -297,7 +297,8 @@ fn cell_value(cell: &Cell) -> Value {
 
 /// Validates a run-report JSON document: envelope tag and shape, every
 /// table rectangular with typed cells, every event a key/message pair,
-/// and every embedded telemetry snapshot valid `PIMTEL01`. This is what
+/// and every embedded telemetry snapshot decoding as `PIMTEL01` (see
+/// [`Snapshot::from_value`]). This is what
 /// the `telemetry_validate` binary (and CI) runs against generated
 /// reports.
 ///
@@ -337,7 +338,7 @@ pub fn validate_report(text: &str) -> Result<(), String> {
         }
     }
     for (i, snap) in array("telemetry")?.iter().enumerate() {
-        Snapshot::validate_value(snap).map_err(|e| format!("telemetry {i}: {e}"))?;
+        Snapshot::from_value(snap).map_err(|e| format!("telemetry {i}: {e}"))?;
     }
     Ok(())
 }
@@ -457,7 +458,7 @@ mod tests {
         log.profile(profile);
         assert!(log.finish().expect("write profile").is_none(), "no report");
         let text = std::fs::read_to_string(&path).expect("read back");
-        Profile::validate_json(&text).expect("written profile validates");
+        Profile::from_json_str(&text).expect("written profile decodes");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

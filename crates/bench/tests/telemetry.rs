@@ -43,7 +43,7 @@ fn e1_command_counters_match_the_oracle_validated_trace() {
     let span_commands: u64 = sink.spans().iter().map(|s| s.commands).sum();
     assert_eq!(span_commands, trace.records.len() as u64);
 
-    Snapshot::validate_json(&snap.to_json_string()).expect("snapshot validates");
+    Snapshot::from_json_str(&snap.to_json_string()).expect("snapshot decodes");
 }
 
 #[test]
@@ -78,7 +78,7 @@ fn e6_energy_series_match_the_closed_form_study() {
         "{span_nj} vs {closed_form_nj}"
     );
 
-    Snapshot::validate_json(&snap.to_json_string()).expect("snapshot validates");
+    Snapshot::from_json_str(&snap.to_json_string()).expect("snapshot decodes");
 }
 
 #[test]
@@ -101,5 +101,5 @@ fn e5_snapshot_carries_vault_utilization() {
         assert_eq!(span.kind, "graph-batch");
         assert!(span.actual_ns > 0.0 && span.actual_nj > 0.0);
     }
-    Snapshot::validate_json(&snap.to_json_string()).expect("snapshot validates");
+    Snapshot::from_json_str(&snap.to_json_string()).expect("snapshot decodes");
 }

@@ -77,8 +77,9 @@ impl Completion {
 }
 
 /// Row-buffer management policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(
+    Debug, Clone, Copy, PartialEq, Eq, Hash, Default, serde::Serialize, serde::Deserialize,
+)]
 pub enum RowPolicy {
     /// Leave rows open after column accesses (exploits locality).
     #[default]

@@ -21,8 +21,9 @@ use std::fmt;
 /// let d = m.decode(PhysAddr::new(0x1234_5678), &org);
 /// assert_eq!(m.encode(d, &org).as_u64(), 0x1234_5640); // burst aligned
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(
+    Debug, Clone, Copy, PartialEq, Eq, Hash, Default, serde::Serialize, serde::Deserialize,
+)]
 pub enum AddressMapping {
     /// Row : Bank : Rank : Column : Channel (MSB→LSB). Default; interleaves
     /// consecutive bursts across channels, then columns.

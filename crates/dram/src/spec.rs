@@ -15,8 +15,7 @@ use std::fmt;
 ///
 /// Field names follow the JEDEC convention without the leading `t` and in
 /// lowercase (`rcd` is tRCD, `faw` is tFAW, ...).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
 pub struct Timing {
     /// Clock period in picoseconds (e.g. 1250 for DDR3-1600).
     pub t_ck_ps: u64,
@@ -118,8 +117,7 @@ impl Timing {
 }
 
 /// Physical organization of the memory attached to one controller.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
 pub struct Organization {
     /// Number of independent channels.
     pub channels: u32,
@@ -239,8 +237,7 @@ impl Organization {
 ///   single row cycle because the three rows are activated simultaneously.
 /// * `psm_col_cycles` — per-column cost of RowClone-PSM (inter-bank copy over
 ///   the shared internal bus), two column commands' worth of bus time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
 pub struct PimTiming {
     /// Latency of one AP primitive, in cycles.
     pub ap: Cycle,
@@ -288,8 +285,7 @@ impl PimTiming {
 /// assert_eq!(spec.org.row_bytes(), 8192);
 /// assert!(spec.peak_bandwidth_gbps() > 12.0); // 12.8 GB/s per channel
 /// ```
-#[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct DramSpec {
     /// Human-readable name of the preset (e.g. `"DDR3-1600"`).
     pub name: String,

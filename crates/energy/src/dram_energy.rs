@@ -17,8 +17,7 @@ use crate::breakdown::{Component, EnergyBreakdown};
 use pim_dram::{CommandCounts, CommandKind};
 
 /// Per-command DRAM energy parameters, in nanojoules.
-#[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct DramEnergyModel {
     /// One row activation + precharge pair (full row).
     pub act_pre_nj: f64,

@@ -12,8 +12,7 @@
 use crate::breakdown::{Component, EnergyBreakdown};
 
 /// Per-access SRAM cache energies, in nJ per 64-byte access.
-#[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct CacheEnergyModel {
     /// L1 hit energy.
     pub l1_nj: f64,
@@ -54,8 +53,7 @@ impl CacheEnergyModel {
 }
 
 /// Energy per executed operation for the compute sites in the system.
-#[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct ComputeEnergyModel {
     /// Big out-of-order host core, nJ per instruction.
     pub host_core_nj_per_op: f64,
@@ -106,8 +104,7 @@ pub enum ComputeSite {
 }
 
 /// Link and TSV transfer energies for a 3D-stacked memory.
-#[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct LinkEnergyModel {
     /// External SerDes link energy, pJ per bit.
     pub serdes_pj_per_bit: f64,

@@ -26,11 +26,11 @@
 //! ```
 //!
 //! `groups`/`jobs` carry the exact integer cycle data (the canonical
-//! payload — parse-back reads only these); `traceEvents` is *derived*
-//! from them at export time in the Chrome Trace Event format (`ph:"M"`
-//! process/thread names, `ph:"X"` complete slices with microsecond
-//! `ts`/`dur`, `ph:"C"` counters), one process per group, one thread
-//! per lane. Perfetto and `chrome://tracing` ignore the extra
+//! payload — parse-back decodes only these, and checks `traceEvents`
+//! for shape alone); `traceEvents` is *derived* from them at export
+//! time in the Chrome Trace Event format (`ph:"M"` process/thread
+//! names, `ph:"X"` complete slices with microsecond `ts`/`dur`,
+//! `ph:"C"` counters), one process per group, one thread per lane. Perfetto and `chrome://tracing` ignore the extra
 //! top-level keys, so the same file loads as a waterfall unmodified.
 //!
 //! Group events are stored normalized (see
@@ -39,6 +39,10 @@
 
 use crate::event::{normalize, Lane, ProfileSink, TraceEvent};
 use crate::record::{JobPhases, JobRecord};
+use pim_telemetry::json::{
+    as_array, as_object, f64_field, field, format_tag, opt_bool_field, opt_object_field,
+    opt_u64_field, str_field, string_map, u32_field, u64_field, FieldError,
+};
 use serde_json::{Map, Value};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -63,6 +67,12 @@ impl fmt::Display for ProfileFormatError {
 }
 
 impl std::error::Error for ProfileFormatError {}
+
+impl From<FieldError> for ProfileFormatError {
+    fn from(e: FieldError) -> Self {
+        ProfileFormatError(e.0)
+    }
+}
 
 /// One timeline group: an engine or backend with its own clock domain.
 #[derive(Debug, Clone, PartialEq)]
@@ -276,225 +286,116 @@ impl Profile {
         serde_json::to_string_pretty(&self.to_value()).expect("profile values are finite")
     }
 
-    /// Parses a profile back from JSON (reads the exact-integer
-    /// `groups`/`jobs` payload; the derived `traceEvents` are not
-    /// consulted).
+    /// Parses a profile back from JSON: the text is parsed, then
+    /// [`Profile::from_value`] decodes it.
     ///
     /// # Errors
     ///
-    /// [`ProfileFormatError`] on malformed JSON, a wrong format tag,
-    /// or any schema violation [`Profile::validate_value`] reports.
+    /// [`ProfileFormatError`] on malformed JSON or any schema
+    /// violation [`Profile::from_value`] reports.
     pub fn from_json_str(text: &str) -> Result<Self, ProfileFormatError> {
         let value: Value = serde_json::from_str(text)
             .map_err(|e| ProfileFormatError::new(format!("bad JSON: {e}")))?;
-        Self::validate_value(&value)?;
-        let root = as_object(&value, "root")?;
+        Self::from_value(&value)
+    }
 
-        let mut meta = BTreeMap::new();
-        for (k, v) in as_object(root.get("meta").expect("validated"), "meta")?.iter() {
-            meta.insert(k.to_string(), v.as_str().expect("validated").to_string());
-        }
+    /// Decodes a `PIMPROF01` tree from its exact-integer `groups`/`jobs`
+    /// payload, checking every schema rule in the same walk: the
+    /// format tag, string metadata, positive finite clocks, parseable
+    /// lanes, events that end after they start in canonical order,
+    /// instantaneous counters, integer `job`/`value` members, 32-bit
+    /// queue depths and batch sizes, id-sorted jobs, monotonic phases,
+    /// and the shape of the derived Chrome `traceEvents` (which are not
+    /// otherwise read).
+    ///
+    /// # Errors
+    ///
+    /// [`ProfileFormatError`] describing the first violation.
+    pub fn from_value(value: &Value) -> Result<Self, ProfileFormatError> {
+        let root = as_object(value, "root")?;
+        format_tag(root, FORMAT_TAG)?;
+        let meta = string_map(root, "meta")?;
 
         let mut groups = Vec::new();
-        for entry in as_array(root.get("groups").expect("validated"), "groups")? {
-            let g = as_object(entry, "group")?;
-            let mut events = Vec::new();
-            for ev in as_array(g.get("events").expect("validated"), "events")? {
-                let e = as_object(ev, "event")?;
-                events.push(TraceEvent {
-                    lane: Lane::from_label(str_field(e, "lane")?).expect("validated"),
-                    name: str_field(e, "name")?.to_string().into(),
-                    start: u64_field(e, "start")?,
-                    end: u64_field(e, "end")?,
-                    job: opt_u64_field(e, "job"),
-                    value: opt_u64_field(e, "value"),
-                });
-            }
-            groups.push(Group {
-                name: str_field(g, "name")?.to_string(),
-                ns_per_cycle: f64_field(g, "ns_per_cycle")?,
-                events,
-            });
-        }
-
-        let mut jobs = Vec::new();
-        for entry in as_array(root.get("jobs").expect("validated"), "jobs")? {
-            let m = as_object(entry, "job")?;
-            let advised = match m.get("advised") {
-                Some(Value::Bool(b)) => Some(*b),
-                _ => None,
-            };
-            let phases = match m.get("phases") {
-                Some(Value::Object(p)) => Some(JobPhases {
-                    submit: u64_field(p, "submit")?,
-                    batch_start: u64_field(p, "batch_start")?,
-                    exec_start: u64_field(p, "exec_start")?,
-                    exec_end: u64_field(p, "exec_end")?,
-                    drain_end: u64_field(p, "drain_end")?,
-                }),
-                _ => None,
-            };
-            jobs.push(JobRecord {
-                id: u64_field(m, "id")?,
-                kind: str_field(m, "kind")?.to_string(),
-                backend: str_field(m, "backend")?.to_string(),
-                queue_depth: u64_field(m, "queue_depth")? as u32,
-                advised,
-                est_ns: f64_field(m, "est_ns")?,
-                est_nj: f64_field(m, "est_nj")?,
-                actual_ns: f64_field(m, "actual_ns")?,
-                actual_nj: f64_field(m, "actual_nj")?,
-                commands: u64_field(m, "commands")?,
-                group: u64_field(m, "group")? as u32,
-                phases,
-            });
-        }
-
-        Ok(Profile { meta, groups, jobs })
-    }
-
-    /// Validates serialized text against the `PIMPROF01` schema
-    /// without materializing a profile (what CI runs on exported
-    /// reports).
-    ///
-    /// # Errors
-    ///
-    /// [`ProfileFormatError`] describing the first violation.
-    pub fn validate_json(text: &str) -> Result<(), ProfileFormatError> {
-        let value: Value = serde_json::from_str(text)
-            .map_err(|e| ProfileFormatError::new(format!("bad JSON: {e}")))?;
-        Self::validate_value(&value)
-    }
-
-    /// Schema check on a parsed JSON tree: envelope tag, canonical
-    /// event ordering, interval sanity, phase monotonicity, and the
-    /// Chrome `traceEvents` shape.
-    ///
-    /// # Errors
-    ///
-    /// [`ProfileFormatError`] describing the first violation.
-    pub fn validate_value(value: &Value) -> Result<(), ProfileFormatError> {
-        let root = as_object(value, "root")?;
-        match root.get("format") {
-            Some(Value::Str(tag)) if tag == FORMAT_TAG => {}
-            Some(Value::Str(tag)) => {
-                return Err(ProfileFormatError::new(format!(
-                    "format tag `{tag}`, expected `{FORMAT_TAG}`"
-                )))
-            }
-            _ => return Err(ProfileFormatError::new("missing `format` tag")),
-        }
-        let meta = root
-            .get("meta")
-            .ok_or_else(|| ProfileFormatError::new("missing `meta`"))?;
-        for (k, v) in as_object(meta, "meta")?.iter() {
-            if v.as_str().is_none() {
-                return Err(ProfileFormatError::new(format!(
-                    "meta `{k}` is not a string"
-                )));
-            }
-        }
-
-        let groups = root
-            .get("groups")
-            .ok_or_else(|| ProfileFormatError::new("missing `groups`"))?;
-        for entry in as_array(groups, "groups")? {
+        for entry in as_array(field(root, "groups")?, "groups")? {
             let g = as_object(entry, "group")?;
             let name = str_field(g, "name")?;
-            let npc = f64_field(g, "ns_per_cycle")?;
-            if !(npc.is_finite() && npc > 0.0) {
+            let ns_per_cycle = f64_field(g, "ns_per_cycle")?;
+            if !(ns_per_cycle.is_finite() && ns_per_cycle > 0.0) {
                 return Err(ProfileFormatError::new(format!(
                     "group `{name}`: ns_per_cycle must be positive and finite"
                 )));
             }
-            let events = g
-                .get("events")
-                .ok_or_else(|| ProfileFormatError::new(format!("group `{name}`: no events")))?;
-            let mut last_key: Option<((u8, u32), u64, u64)> = None;
-            for ev in as_array(events, "events")? {
-                let e = as_object(ev, "event")?;
-                let lane_label = str_field(e, "lane")?;
-                let lane = Lane::from_label(lane_label).ok_or_else(|| {
-                    ProfileFormatError::new(format!("group `{name}`: bad lane `{lane_label}`"))
-                })?;
-                str_field(e, "name")?;
-                let start = u64_field(e, "start")?;
-                let end = u64_field(e, "end")?;
-                if end < start {
-                    return Err(ProfileFormatError::new(format!(
-                        "group `{name}`: event on `{lane_label}` ends before it starts"
-                    )));
-                }
-                if e.get("value").is_some() && end != start {
-                    return Err(ProfileFormatError::new(format!(
-                        "group `{name}`: counter event on `{lane_label}` is not instantaneous"
-                    )));
-                }
-                let key = (lane.sort_key(), start, end);
-                if last_key.is_some_and(|prev| key < prev) {
+            let mut events: Vec<TraceEvent> = Vec::new();
+            for ev in as_array(field(g, "events")?, "events")? {
+                let event = trace_event(as_object(ev, "event")?)
+                    .map_err(|e| ProfileFormatError::new(format!("group `{name}`: {e}")))?;
+                if events.last().is_some_and(|prev| {
+                    (prev.lane.sort_key(), prev.start, prev.end)
+                        > (event.lane.sort_key(), event.start, event.end)
+                }) {
                     return Err(ProfileFormatError::new(format!(
                         "group `{name}`: events not in canonical order"
                     )));
                 }
-                last_key = Some(key);
+                events.push(event);
             }
+            groups.push(Group {
+                name: name.to_string(),
+                ns_per_cycle,
+                events,
+            });
         }
 
-        let jobs = root
-            .get("jobs")
-            .ok_or_else(|| ProfileFormatError::new("missing `jobs`"))?;
-        let mut last_id = None;
-        for entry in as_array(jobs, "jobs")? {
+        let mut jobs: Vec<JobRecord> = Vec::new();
+        for entry in as_array(field(root, "jobs")?, "jobs")? {
             let m = as_object(entry, "job")?;
             let id = u64_field(m, "id")?;
-            if last_id.is_some_and(|prev| id < prev) {
+            if jobs.last().is_some_and(|prev| id < prev.id) {
                 return Err(ProfileFormatError::new("jobs not sorted by id"));
             }
-            last_id = Some(id);
-            str_field(m, "kind")?;
-            str_field(m, "backend")?;
-            u64_field(m, "queue_depth")?;
-            match m.get("advised") {
-                Some(Value::Bool(_)) | Some(Value::Null) => {}
-                _ => {
-                    return Err(ProfileFormatError::new(format!(
-                        "job {id}: `advised` must be bool or null"
-                    )))
-                }
-            }
-            for f in ["est_ns", "est_nj", "actual_ns", "actual_nj"] {
-                f64_field(m, f)?;
-            }
-            u64_field(m, "commands")?;
-            u64_field(m, "group")?;
-            match m.get("phases") {
-                Some(Value::Null) | None => {}
-                Some(Value::Object(p)) => {
+            let phases = match opt_object_field(m, "phases")? {
+                Some(p) => {
+                    let phases = JobPhases {
+                        submit: u64_field(p, "submit")?,
+                        batch_start: u64_field(p, "batch_start")?,
+                        exec_start: u64_field(p, "exec_start")?,
+                        exec_end: u64_field(p, "exec_end")?,
+                        drain_end: u64_field(p, "drain_end")?,
+                    };
                     let marks = [
-                        u64_field(p, "submit")?,
-                        u64_field(p, "batch_start")?,
-                        u64_field(p, "exec_start")?,
-                        u64_field(p, "exec_end")?,
-                        u64_field(p, "drain_end")?,
+                        phases.submit,
+                        phases.batch_start,
+                        phases.exec_start,
+                        phases.exec_end,
+                        phases.drain_end,
                     ];
                     if marks.windows(2).any(|w| w[0] > w[1]) {
                         return Err(ProfileFormatError::new(format!(
                             "job {id}: phases not monotonic"
                         )));
                     }
+                    Some(phases)
                 }
-                _ => {
-                    return Err(ProfileFormatError::new(format!(
-                        "job {id}: `phases` must be object or null"
-                    )))
-                }
-            }
+                None => None,
+            };
+            jobs.push(JobRecord {
+                id,
+                kind: str_field(m, "kind")?.to_string(),
+                backend: str_field(m, "backend")?.to_string(),
+                queue_depth: u32_field(m, "queue_depth")?,
+                advised: opt_bool_field(m, "advised")?,
+                est_ns: f64_field(m, "est_ns")?,
+                est_nj: f64_field(m, "est_nj")?,
+                actual_ns: f64_field(m, "actual_ns")?,
+                actual_nj: f64_field(m, "actual_nj")?,
+                commands: u64_field(m, "commands")?,
+                group: u32_field(m, "group")?,
+                phases,
+            });
         }
 
-        let trace_events = root
-            .get("traceEvents")
-            .ok_or_else(|| ProfileFormatError::new("missing `traceEvents`"))?;
-        for entry in as_array(trace_events, "traceEvents")? {
+        for entry in as_array(field(root, "traceEvents")?, "traceEvents")? {
             let m = as_object(entry, "traceEvent")?;
             match str_field(m, "ph")? {
                 "M" | "X" | "C" => {}
@@ -506,8 +407,37 @@ impl Profile {
             }
             u64_field(m, "pid")?;
         }
-        Ok(())
+
+        Ok(Profile { meta, groups, jobs })
     }
+}
+
+/// Decodes one group event: a parseable lane, an interval that ends
+/// after it starts, and integer `job`/`value` members where present; a
+/// counter sample (one with a `value`) is instantaneous.
+fn trace_event(e: &Map) -> Result<TraceEvent, FieldError> {
+    let label = str_field(e, "lane")?;
+    let lane = Lane::from_label(label).ok_or_else(|| FieldError(format!("bad lane `{label}`")))?;
+    let (start, end) = (u64_field(e, "start")?, u64_field(e, "end")?);
+    let value = opt_u64_field(e, "value")?;
+    if end < start {
+        return Err(FieldError(format!(
+            "event on `{label}` ends before it starts"
+        )));
+    }
+    if value.is_some() && end != start {
+        return Err(FieldError(format!(
+            "counter event on `{label}` is not instantaneous"
+        )));
+    }
+    Ok(TraceEvent {
+        lane,
+        name: str_field(e, "name")?.to_string().into(),
+        start,
+        end,
+        job: opt_u64_field(e, "job")?,
+        value,
+    })
 }
 
 fn chrome_meta(pid: u64, tid: Option<u64>, what: &str, name: &str) -> Value {
@@ -522,44 +452,6 @@ fn chrome_meta(pid: u64, tid: Option<u64>, what: &str, name: &str) -> Value {
     args.insert("name", Value::Str(name.to_string()));
     m.insert("args", Value::Object(args));
     Value::Object(m)
-}
-
-fn as_object<'a>(v: &'a Value, what: &str) -> Result<&'a Map, ProfileFormatError> {
-    match v {
-        Value::Object(m) => Ok(m),
-        _ => Err(ProfileFormatError::new(format!(
-            "`{what}` is not an object"
-        ))),
-    }
-}
-
-fn as_array<'a>(v: &'a Value, what: &str) -> Result<&'a [Value], ProfileFormatError> {
-    match v {
-        Value::Array(items) => Ok(items),
-        _ => Err(ProfileFormatError::new(format!("`{what}` is not an array"))),
-    }
-}
-
-fn str_field<'a>(m: &'a Map, name: &str) -> Result<&'a str, ProfileFormatError> {
-    m.get(name)
-        .and_then(Value::as_str)
-        .ok_or_else(|| ProfileFormatError::new(format!("missing string field `{name}`")))
-}
-
-fn f64_field(m: &Map, name: &str) -> Result<f64, ProfileFormatError> {
-    m.get(name)
-        .and_then(Value::as_f64)
-        .ok_or_else(|| ProfileFormatError::new(format!("missing number field `{name}`")))
-}
-
-fn u64_field(m: &Map, name: &str) -> Result<u64, ProfileFormatError> {
-    m.get(name)
-        .and_then(Value::as_u64)
-        .ok_or_else(|| ProfileFormatError::new(format!("missing integer field `{name}`")))
-}
-
-fn opt_u64_field(m: &Map, name: &str) -> Option<u64> {
-    m.get(name).and_then(Value::as_u64)
 }
 
 #[cfg(test)]
@@ -624,8 +516,8 @@ mod tests {
         // Jobs got sorted, events normalized (channel before bank).
         assert_eq!(p.jobs[0].id, 0);
         assert_eq!(p.groups[0].events[0].lane, Lane::Queue);
-        Profile::validate_json(&text).expect("valid against schema");
-        Profile::validate_json(&p.to_json_string_pretty()).expect("pretty form also valid");
+        let pretty = Profile::from_json_str(&p.to_json_string_pretty());
+        assert_eq!(pretty.expect("pretty form also parses"), p);
     }
 
     #[test]
@@ -665,6 +557,9 @@ mod tests {
         assert!((slice.get("ts").unwrap().as_f64().unwrap() - 50.0 * 1.25 / 1000.0).abs() < 1e-12);
     }
 
+    /// A schema rule and a mutation that breaks it.
+    type Violation = (&'static str, fn(&mut Value));
+
     /// Array element `i` of `v`.
     fn at(v: &mut Value, i: usize) -> &mut Value {
         match v {
@@ -684,7 +579,7 @@ mod tests {
     #[test]
     fn every_schema_rule_rejects_its_violation() {
         let good = sample_profile().to_value();
-        let rules: [(&str, fn(&mut Value)); 13] = [
+        let rules: [Violation; 13] = [
             ("format tag", |v| {
                 v["format"] = Value::Str("PIMPROF99".into())
             }),
@@ -739,23 +634,55 @@ mod tests {
         }
     }
 
+    /// Inputs a reader must refuse rather than mangle: a `value` or
+    /// `job` that is present but not an integer (a non-integer `value`
+    /// used to drop to `None`, turning a counter sample into a slice),
+    /// and a queue depth or batch size past `u32::MAX` (truncated).
+    #[test]
+    fn non_integer_and_out_of_range_members_are_rejected() {
+        let good = sample_profile().to_value();
+        let past_u32 = Value::Num((1u64 << 32) as f64);
+        let mut bad = Vec::new();
+        let mut value = good.clone();
+        assert_eq!(
+            event(&mut value, 0)["value"],
+            Value::Num(2.0),
+            "queue depth"
+        );
+        event(&mut value, 0)["value"] = Value::Num(0.5);
+        bad.push(value);
+        let mut job = good.clone();
+        event(&mut job, 2)["job"] = Value::Str("0".into());
+        bad.push(job);
+        let mut depth = good.clone();
+        at(&mut depth["jobs"], 0)["queue_depth"] = past_u32.clone();
+        bad.push(depth);
+        let mut group = good.clone();
+        at(&mut group["jobs"], 0)["group"] = past_u32;
+        bad.push(group);
+        for v in bad {
+            let text = serde_json::to_string(&v).expect("finite values");
+            assert!(Profile::from_json_str(&text).is_err(), "accepted {text}");
+        }
+    }
+
     #[test]
     fn validate_rejects_corruption() {
         let p = sample_profile();
         let good = p.to_json_string();
-        assert!(Profile::validate_json(&good.replace(FORMAT_TAG, "PIMPROF99")).is_err());
-        assert!(Profile::validate_json(&good.replace("\"bank/0\"", "\"bunk/0\"")).is_err());
-        assert!(Profile::validate_json("{}").is_err());
-        assert!(Profile::validate_json("not json").is_err());
+        assert!(Profile::from_json_str(&good.replace(FORMAT_TAG, "PIMPROF99")).is_err());
+        assert!(Profile::from_json_str(&good.replace("\"bank/0\"", "\"bunk/0\"")).is_err());
+        assert!(Profile::from_json_str("{}").is_err());
+        assert!(Profile::from_json_str("not json").is_err());
         // Events out of canonical order are rejected.
         let mut bad = sample_profile();
         bad.groups[0].events.reverse();
-        assert!(Profile::validate_value(&bad.to_value()).is_err());
+        assert!(Profile::from_value(&bad.to_value()).is_err());
         // Non-monotonic phases are rejected.
         let mut bad = sample_profile();
         if let Some(p) = &mut bad.jobs[1].phases {
             p.exec_end = 0;
         }
-        assert!(Profile::validate_value(&bad.to_value()).is_err());
+        assert!(Profile::from_value(&bad.to_value()).is_err());
     }
 }

@@ -7,7 +7,7 @@ use crate::Cycle;
 /// The cycle-domain phase boundaries of one job on its backend's
 /// clock: `submit → batch → execute → drain`.
 ///
-/// Invariant (enforced by [`crate::Profile::validate_value`]):
+/// Invariant (checked by [`crate::Profile::from_value`] as it decodes):
 /// `submit <= batch_start <= exec_start <= exec_end <= drain_end`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct JobPhases {

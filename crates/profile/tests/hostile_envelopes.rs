@@ -1,16 +1,18 @@
-//! Hostile input for the PIMTEL01 and PIMPROF01 readers: truncated,
+//! Hostile input for the PIMTEL01 and PIMPROF01 decoders: truncated,
 //! byte-flipped (still valid UTF-8) and duplicated-member variants of
 //! the committed E1 envelopes — and ones padded with 50 000-deep nesting
 //! or 100 000 extra members — each read to `Ok` or a typed
 //! [`SnapshotFormatError`] / [`ProfileFormatError`] — never a panic or a
-//! stack overflow — in time linear in their length. The schema validator
-//! and the parser accept exactly the same inputs.
+//! stack overflow — in time linear in their length. Each format has one
+//! reader, which checks every schema rule as it decodes, so whatever it
+//! accepts renders: a snapshot's table, and a profile's analytics
+//! report.
 
+use pim_profile::analytics::Report;
 use pim_profile::{Profile, ProfileFormatError};
 use pim_telemetry::{Snapshot, SnapshotFormatError};
 use proptest::prelude::*;
 use serde_json::Value;
-use std::fmt::Debug;
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
@@ -45,28 +47,18 @@ fn timed<T>(text: &str, read: fn(&str) -> T) -> T {
     out
 }
 
-/// Parses `text` and validates it; both must agree on acceptance.
-fn read<T, E: Debug>(
-    text: &str,
-    parse: fn(&str) -> Result<T, E>,
-    validate: fn(&str) -> Result<(), E>,
-) -> Result<T, E> {
-    let parsed = timed(text, parse);
-    let validated = timed(text, validate);
-    assert_eq!(
-        parsed.is_ok(),
-        validated.is_ok(),
-        "the validator and the parser disagree: {validated:?}"
-    );
-    parsed
-}
-
+/// Reads a snapshot, rendering its table when it is accepted.
 fn snapshot(text: &str) -> Result<Snapshot, SnapshotFormatError> {
-    read(text, Snapshot::from_json_str, Snapshot::validate_json)
+    let snap = timed(text, Snapshot::from_json_str)?;
+    snap.to_table_string();
+    Ok(snap)
 }
 
+/// Reads a profile, running the analytics report when it is accepted.
 fn profile(text: &str) -> Result<Profile, ProfileFormatError> {
-    read(text, Profile::from_json_str, Profile::validate_json)
+    let prof = timed(text, Profile::from_json_str)?;
+    Report::from_profile(&prof).to_table_string();
+    Ok(prof)
 }
 
 /// A strict prefix of `text`'s JSON value, cut on a char boundary.

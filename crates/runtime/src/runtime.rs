@@ -5,7 +5,7 @@
 use crate::backend::{Backend, CostEstimate};
 use crate::error::RuntimeError;
 use crate::job::{Completion, Job, JobId};
-use pim_core::{decide, Objective, OffloadDecision};
+use pim_core::{Objective, OffloadDecision};
 use pim_dram::{DramSpec, TraceRecord};
 use pim_profile::{JobPhases, JobRecord, Lane, Profile};
 use pim_telemetry::{ExecSpan, JobSpan, TelemetrySink};
@@ -144,95 +144,65 @@ impl Runtime {
         }
     }
 
-    /// The advisor path: price the job's profile on the host site and on
-    /// every supporting PIM site, offload to the highest-benefit PIM
-    /// backend the advisor approves, otherwise stay on the host.
+    /// The advisor path: price the job with each supporting backend's
+    /// own [`Backend::estimate`] — for compiled bit-serial programs that
+    /// is the emitted AAP/TRA sequence on the PIM side and a vectorized
+    /// scalar loop on the host, which is what routes wide multiplies
+    /// back to the host — then offload to the highest-benefit PIM
+    /// backend strictly cheaper than the host under `objective`,
+    /// otherwise stay on the host. With no host registered, the
+    /// cheapest supporting backend runs the job. Ties keep the host,
+    /// then the first-registered backend.
     fn advise(&self, job: &Job, objective: Objective) -> Result<PlacementDecision, RuntimeError> {
-        let profile = job.profile();
+        let cost = |e: &CostEstimate| match objective {
+            Objective::Time => e.ns,
+            Objective::Energy => e.energy_nj(),
+            Objective::EnergyDelay => e.ns * e.energy_nj(),
+        };
         let host = self
             .backends
             .iter()
             .find(|b| b.is_host() && b.supports(job));
-        let candidates = self
+        let host_est = host.map(|h| h.estimate(job)).transpose()?;
+        // The highest score wins: the benefit over the host, or with no
+        // host the negated cost.
+        let mut best: Option<(f64, &dyn Backend, CostEstimate)> = None;
+        // Only PIM backends compete: with no host supporting the job,
+        // no supporting backend is host-side.
+        for cand in self
             .backends
             .iter()
-            .filter(|b| !b.is_host() && b.supports(job));
-
-        if let Some(host) = host {
-            // For compiled bit-serial programs the shared byte/op profile
-            // is a fiction on both sides: the true PIM cost is the emitted
-            // AAP/TRA sequence (quadratic in width for multiply), the true
-            // host cost a vectorized scalar loop. Price each side with its
-            // backend's own estimator so the verdict tracks the compiled
-            // program — this is what routes wide multiplies back to the
-            // host.
-            let host_est = match job {
-                Job::SimdProgram { .. } => Some(host.estimate(job)?),
-                _ => None,
+            .filter(|b| !b.is_host() && b.supports(job))
+        {
+            let est = cand.estimate(job)?;
+            let score = match &host_est {
+                Some(h) if cost(&est) < cost(h) => cost(h) / cost(&est),
+                Some(_) => continue,
+                None => -cost(&est),
             };
-            let mut best: Option<(f64, &dyn Backend, OffloadDecision)> = None;
-            for cand in candidates {
-                let d = match &host_est {
-                    Some(h) => {
-                        let c = cand.estimate(job)?;
-                        let (hc, pc) = match objective {
-                            Objective::Time => (h.ns, c.ns),
-                            Objective::Energy => (h.energy_nj(), c.energy_nj()),
-                            Objective::EnergyDelay => (h.ns * h.energy_nj(), c.ns * c.energy_nj()),
-                        };
-                        OffloadDecision {
-                            offload: pc < hc,
-                            host_time_ns: h.ns,
-                            host_energy_nj: h.energy_nj(),
-                            pim_time_ns: c.ns,
-                            pim_energy_nj: c.energy_nj(),
-                        }
-                    }
-                    None => decide(&profile, host.site(), cand.site(), objective),
-                };
-                if d.offload {
-                    let benefit = d.benefit(objective);
-                    if best.as_ref().is_none_or(|(b, _, _)| benefit > *b) {
-                        best = Some((benefit, cand.as_ref(), d));
-                    }
-                }
-            }
-            Ok(match best {
-                Some((_, cand, d)) => PlacementDecision {
-                    backend: cand.name().to_string(),
-                    advised: Some(d),
-                    channel_domains: cand.channel_domains(),
-                },
-                None => PlacementDecision {
-                    backend: host.name().to_string(),
-                    advised: None,
-                    channel_domains: host.channel_domains(),
-                },
-            })
-        } else {
-            // No host side: fall back to the cheapest supporting backend
-            // under the objective.
-            let mut best: Option<(f64, &dyn Backend)> = None;
-            for cand in self.backends.iter().filter(|b| b.supports(job)) {
-                let est = cand.estimate(job)?;
-                let cost = match objective {
-                    Objective::Time => est.ns,
-                    Objective::Energy => est.energy_nj(),
-                    Objective::EnergyDelay => est.ns * est.energy_nj(),
-                };
-                if best.as_ref().is_none_or(|(c, _)| cost < *c) {
-                    best = Some((cost, cand.as_ref()));
-                }
-            }
-            match best {
-                Some((_, cand)) => Ok(PlacementDecision {
-                    backend: cand.name().to_string(),
-                    advised: None,
-                    channel_domains: cand.channel_domains(),
-                }),
-                None => Err(RuntimeError::NoBackend { job: job.kind() }),
+            if best.as_ref().is_none_or(|(b, _, _)| score > *b) {
+                best = Some((score, cand.as_ref(), est));
             }
         }
+        let (chosen, advised) = match (best, host) {
+            (Some((_, cand, est)), _) => {
+                let advised = host_est.map(|h| OffloadDecision {
+                    offload: true,
+                    host_time_ns: h.ns,
+                    host_energy_nj: h.energy_nj(),
+                    pim_time_ns: est.ns,
+                    pim_energy_nj: est.energy_nj(),
+                });
+                (cand, advised)
+            }
+            (None, Some(host)) => (host.as_ref(), None),
+            (None, None) => return Err(RuntimeError::NoBackend { job: job.kind() }),
+        };
+        Ok(PlacementDecision {
+            backend: chosen.name().to_string(),
+            advised,
+            channel_domains: chosen.channel_domains(),
+        })
     }
 
     /// Queues a job, returning its id.

@@ -4,8 +4,7 @@ use pim_dram::DramSpec;
 use std::fmt;
 
 /// Geometry and bandwidth of a 3D-stacked memory device.
-#[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct StackConfig {
     /// Human-readable name.
     pub name: String,

@@ -26,6 +26,7 @@
 //!   JSON for machines, a table for humans. Registry iteration order is
 //!   the sorted metric key, so the JSON is deterministic byte-for-byte.
 
+pub mod json;
 mod metrics;
 mod snapshot;
 mod span;

@@ -73,13 +73,26 @@ pub enum Metric {
 }
 
 impl Metric {
+    /// Whether `other` can fold into `self`: the same kind and, for
+    /// histograms, the same bounds.
+    pub(crate) fn merges_with(&self, other: &Metric) -> bool {
+        match (self, other) {
+            (Metric::Histogram { bounds, .. }, Metric::Histogram { bounds: b2, .. }) => {
+                bounds == b2
+            }
+            (a, b) => std::mem::discriminant(a) == std::mem::discriminant(b),
+        }
+    }
+
     /// Folds `other` into `self`. Counters and sums add, gauges keep
     /// the max (shard merge order must not matter), histogram buckets
-    /// add. Merging mismatched variants or bounds panics: series names
-    /// are static, so that is a programming error, not data.
+    /// add; integer adds saturate. Merging mismatched variants or
+    /// bounds panics: series names are static and the decoder rejects
+    /// a series that mixes them, so that is a programming error, not
+    /// data.
     pub(crate) fn merge(&mut self, other: &Metric) {
         match (self, other) {
-            (Metric::Counter(a), Metric::Counter(b)) => *a += b,
+            (Metric::Counter(a), Metric::Counter(b)) => *a = a.saturating_add(*b),
             (Metric::Sum(a), Metric::Sum(b)) => *a += b,
             (
                 Metric::Gauge { value, high_water },
@@ -105,9 +118,9 @@ impl Metric {
             ) => {
                 assert_eq!(bounds, b2, "histogram bound mismatch in merge");
                 for (dst, src) in counts.iter_mut().zip(c2.iter()) {
-                    *dst += src;
+                    *dst = dst.saturating_add(*src);
                 }
-                *total += t2;
+                *total = total.saturating_add(*t2);
             }
             (a, b) => panic!("telemetry metric kind mismatch in merge: {a:?} vs {b:?}"),
         }

@@ -28,6 +28,10 @@
 //! Integers are carried through JSON numbers (exact to 2^53 — far
 //! beyond any counter this workspace produces).
 
+use crate::json::{
+    as_array, as_object, f64_field, field, format_tag, opt_bool_field, opt_object_field, str_field,
+    string_map, u32_field, u64_array, u64_field, FieldError,
+};
 use crate::metrics::{Metric, MetricKey, TelemetrySink};
 use crate::span::{ExecSpan, JobSpan};
 use serde_json::{Map, Value};
@@ -54,6 +58,12 @@ impl fmt::Display for SnapshotFormatError {
 }
 
 impl std::error::Error for SnapshotFormatError {}
+
+impl From<FieldError> for SnapshotFormatError {
+    fn from(e: FieldError) -> Self {
+        SnapshotFormatError(e.0)
+    }
+}
 
 /// A frozen, exportable view of a [`TelemetrySink`]: free-form string
 /// metadata (experiment name, configuration) plus the registry and the
@@ -193,73 +203,89 @@ impl Snapshot {
         serde_json::to_string_pretty(&self.to_value()).expect("telemetry values are finite")
     }
 
-    /// Parses a snapshot back from JSON.
+    /// Parses a snapshot back from JSON: the text is parsed, then
+    /// [`Snapshot::from_value`] decodes it.
     ///
     /// # Errors
     ///
-    /// [`SnapshotFormatError`] on malformed JSON, a wrong/missing
-    /// format tag, or any schema violation [`Snapshot::validate_value`]
-    /// would report.
+    /// [`SnapshotFormatError`] on malformed JSON or any schema
+    /// violation [`Snapshot::from_value`] reports.
     pub fn from_json_str(text: &str) -> Result<Self, SnapshotFormatError> {
         let value: Value = serde_json::from_str(text)
             .map_err(|e| SnapshotFormatError::new(format!("bad JSON: {e}")))?;
-        Self::validate_value(&value)?;
-        let root = as_object(&value, "root")?;
+        Self::from_value(&value)
+    }
 
-        let mut meta = BTreeMap::new();
-        for (k, v) in as_object(root.get("meta").expect("validated"), "meta")?.iter() {
-            meta.insert(k.to_string(), v.as_str().expect("validated").to_string());
-        }
+    /// Decodes a `PIMTEL01` tree, checking every schema rule in the
+    /// same walk: the format tag, string metadata, known metric kinds,
+    /// unique 32-bit `(name, index)` keys, one kind (and one set of
+    /// histogram bounds) per series, gauge high-water marks at or above
+    /// their values, `bounds + 1` histogram counts over strictly
+    /// ascending bounds, id-sorted spans with 32-bit queue depths and
+    /// batch sizes, and exec windows that end after they start. A
+    /// decoded snapshot therefore renders [`Snapshot::to_table_string`]
+    /// and merges its series without panicking.
+    ///
+    /// # Errors
+    ///
+    /// [`SnapshotFormatError`] describing the first violation.
+    pub fn from_value(value: &Value) -> Result<Self, SnapshotFormatError> {
+        let root = as_object(value, "root")?;
+        format_tag(root, FORMAT_TAG)?;
+        let meta = string_map(root, "meta")?;
 
-        let mut metrics = BTreeMap::new();
-        for entry in as_array(root.get("metrics").expect("validated"), "metrics")? {
+        let mut metrics: BTreeMap<MetricKey, Metric> = BTreeMap::new();
+        for entry in as_array(field(root, "metrics")?, "metrics")? {
             let m = as_object(entry, "metric")?;
-            let key = MetricKey::owned(
-                str_field(m, "name")?.to_string(),
-                u64_field(m, "index")? as u32,
-            );
-            let metric = match str_field(m, "kind")? {
-                "counter" => Metric::Counter(u64_field(m, "value")?),
-                "sum" => Metric::Sum(f64_field(m, "value")?),
-                "gauge" => Metric::Gauge {
-                    value: u64_field(m, "value")?,
-                    high_water: u64_field(m, "high_water")?,
-                },
-                "histogram" => Metric::Histogram {
-                    bounds: u64_array(m, "bounds")?.into(),
-                    counts: u64_array(m, "counts")?,
-                    total: u64_field(m, "total")?,
-                },
-                other => {
-                    return Err(SnapshotFormatError::new(format!(
-                        "unknown metric kind `{other}`"
-                    )))
-                }
-            };
-            metrics.insert(key, metric);
+            let name = str_field(m, "name")?;
+            let key = MetricKey::owned(name.to_string(), u32_field(m, "index")?);
+            if metrics.insert(key, metric(m, name)?).is_some() {
+                return Err(SnapshotFormatError::new(format!(
+                    "metric `{name}` repeats an index"
+                )));
+            }
+        }
+        // Keys sort by name first, so each series' instances are
+        // neighbours: every one must merge with the next.
+        let mut pairs = metrics.iter().zip(metrics.iter().skip(1));
+        if let Some(((k, _), _)) =
+            pairs.find(|((a, m), (b, n))| a.name == b.name && !m.merges_with(n))
+        {
+            return Err(SnapshotFormatError::new(format!(
+                "series `{}` mixes metric kinds or histogram bounds",
+                k.name
+            )));
         }
 
-        let mut spans = Vec::new();
-        for entry in as_array(root.get("spans").expect("validated"), "spans")? {
+        let mut spans: Vec<JobSpan> = Vec::new();
+        for entry in as_array(field(root, "spans")?, "spans")? {
             let m = as_object(entry, "span")?;
-            let advised = match m.get("advised") {
-                Some(Value::Bool(b)) => Some(*b),
-                _ => None,
-            };
-            let exec = match m.get("exec") {
-                Some(Value::Object(x)) => Some(ExecSpan {
-                    start: u64_field(x, "start")?,
-                    end: u64_field(x, "end")?,
-                    group: u64_field(x, "group")? as u32,
-                }),
-                _ => None,
+            let id = u64_field(m, "id")?;
+            if spans.last().is_some_and(|prev| id < prev.id) {
+                return Err(SnapshotFormatError::new("spans not sorted by id"));
+            }
+            let exec = match opt_object_field(m, "exec")? {
+                Some(x) => {
+                    let (start, end) = (u64_field(x, "start")?, u64_field(x, "end")?);
+                    if end < start {
+                        return Err(SnapshotFormatError::new(format!(
+                            "span {id}: exec window ends before it starts"
+                        )));
+                    }
+                    Some(ExecSpan {
+                        start,
+                        end,
+                        group: u32_field(x, "group")?,
+                    })
+                }
+                None => None,
             };
             spans.push(JobSpan {
-                id: u64_field(m, "id")?,
+                id,
                 kind: str_field(m, "kind")?.to_string(),
                 backend: str_field(m, "backend")?.to_string(),
-                queue_depth: u64_field(m, "queue_depth")? as u32,
-                advised,
+                queue_depth: u32_field(m, "queue_depth")?,
+                advised: opt_bool_field(m, "advised")?,
                 est_ns: f64_field(m, "est_ns")?,
                 est_nj: f64_field(m, "est_nj")?,
                 actual_ns: f64_field(m, "actual_ns")?,
@@ -274,139 +300,6 @@ impl Snapshot {
             metrics,
             spans,
         })
-    }
-
-    /// Validates serialized text against the `PIMTEL01` schema without
-    /// materializing a snapshot (what the CI validator runs).
-    ///
-    /// # Errors
-    ///
-    /// [`SnapshotFormatError`] describing the first violation.
-    pub fn validate_json(text: &str) -> Result<(), SnapshotFormatError> {
-        let value: Value = serde_json::from_str(text)
-            .map_err(|e| SnapshotFormatError::new(format!("bad JSON: {e}")))?;
-        Self::validate_value(&value)
-    }
-
-    /// Schema check on a parsed JSON tree.
-    ///
-    /// # Errors
-    ///
-    /// [`SnapshotFormatError`] describing the first violation.
-    pub fn validate_value(value: &Value) -> Result<(), SnapshotFormatError> {
-        let root = as_object(value, "root")?;
-        match root.get("format") {
-            Some(Value::Str(tag)) if tag == FORMAT_TAG => {}
-            Some(Value::Str(tag)) => {
-                return Err(SnapshotFormatError::new(format!(
-                    "format tag `{tag}`, expected `{FORMAT_TAG}`"
-                )))
-            }
-            _ => return Err(SnapshotFormatError::new("missing `format` tag")),
-        }
-        let meta = root
-            .get("meta")
-            .ok_or_else(|| SnapshotFormatError::new("missing `meta`"))?;
-        for (k, v) in as_object(meta, "meta")?.iter() {
-            if v.as_str().is_none() {
-                return Err(SnapshotFormatError::new(format!(
-                    "meta `{k}` is not a string"
-                )));
-            }
-        }
-        let metrics = root
-            .get("metrics")
-            .ok_or_else(|| SnapshotFormatError::new("missing `metrics`"))?;
-        for entry in as_array(metrics, "metrics")? {
-            let m = as_object(entry, "metric")?;
-            let name = str_field(m, "name")?;
-            u64_field(m, "index")?;
-            match str_field(m, "kind")? {
-                "counter" => {
-                    u64_field(m, "value")?;
-                }
-                "sum" => {
-                    f64_field(m, "value")?;
-                }
-                "gauge" => {
-                    let v = u64_field(m, "value")?;
-                    let hw = u64_field(m, "high_water")?;
-                    if hw < v {
-                        return Err(SnapshotFormatError::new(format!(
-                            "gauge `{name}` high_water {hw} below value {v}"
-                        )));
-                    }
-                }
-                "histogram" => {
-                    let bounds = u64_array(m, "bounds")?;
-                    let counts = u64_array(m, "counts")?;
-                    if counts.len() != bounds.len() + 1 {
-                        return Err(SnapshotFormatError::new(format!(
-                            "histogram `{name}`: {} counts for {} bounds (want bounds+1)",
-                            counts.len(),
-                            bounds.len()
-                        )));
-                    }
-                    if bounds.windows(2).any(|w| w[0] >= w[1]) {
-                        return Err(SnapshotFormatError::new(format!(
-                            "histogram `{name}` bounds not strictly ascending"
-                        )));
-                    }
-                    u64_field(m, "total")?;
-                }
-                other => {
-                    return Err(SnapshotFormatError::new(format!(
-                        "metric `{name}` has unknown kind `{other}`"
-                    )))
-                }
-            }
-        }
-        let spans = root
-            .get("spans")
-            .ok_or_else(|| SnapshotFormatError::new("missing `spans`"))?;
-        let mut last_id = None;
-        for entry in as_array(spans, "spans")? {
-            let m = as_object(entry, "span")?;
-            let id = u64_field(m, "id")?;
-            if last_id.is_some_and(|prev| id < prev) {
-                return Err(SnapshotFormatError::new("spans not sorted by id"));
-            }
-            last_id = Some(id);
-            str_field(m, "kind")?;
-            str_field(m, "backend")?;
-            u64_field(m, "queue_depth")?;
-            match m.get("advised") {
-                Some(Value::Bool(_)) | Some(Value::Null) => {}
-                _ => {
-                    return Err(SnapshotFormatError::new(format!(
-                        "span {id}: `advised` must be bool or null"
-                    )))
-                }
-            }
-            for f in ["est_ns", "est_nj", "actual_ns", "actual_nj"] {
-                f64_field(m, f)?;
-            }
-            u64_field(m, "commands")?;
-            match m.get("exec") {
-                Some(Value::Null) | None => {}
-                Some(Value::Object(x)) => {
-                    let start = u64_field(x, "start")?;
-                    let end = u64_field(x, "end")?;
-                    if end < start {
-                        return Err(SnapshotFormatError::new(format!(
-                            "span {id}: exec window ends before it starts"
-                        )));
-                    }
-                    u64_field(x, "group")?;
-                }
-                _ => {
-                    return Err(SnapshotFormatError::new(format!(
-                        "span {id}: `exec` must be object or null"
-                    )))
-                }
-            }
-        }
-        Ok(())
     }
 
     /// Renders the human-readable table: metrics aggregated per series
@@ -441,7 +334,7 @@ impl Snapshot {
                     ("gauge", format!("{value} (high {high_water})"))
                 }
                 Metric::Histogram { counts, total, .. } => {
-                    let n: u64 = counts.iter().sum();
+                    let n = counts.iter().fold(0u64, |n, &c| n.saturating_add(c));
                     let mean = if n > 0 { *total as f64 / n as f64 } else { 0.0 };
                     ("histogram", format!("n={n} mean={mean:.2}"))
                 }
@@ -488,57 +381,47 @@ impl Snapshot {
     }
 }
 
-fn as_object<'a>(v: &'a Value, what: &str) -> Result<&'a Map, SnapshotFormatError> {
-    match v {
-        Value::Object(m) => Ok(m),
-        _ => Err(SnapshotFormatError::new(format!(
-            "`{what}` is not an object"
-        ))),
-    }
-}
-
-fn as_array<'a>(v: &'a Value, what: &str) -> Result<&'a [Value], SnapshotFormatError> {
-    match v {
-        Value::Array(items) => Ok(items),
-        _ => Err(SnapshotFormatError::new(format!(
-            "`{what}` is not an array"
-        ))),
-    }
-}
-
-fn str_field<'a>(m: &'a Map, name: &str) -> Result<&'a str, SnapshotFormatError> {
-    m.get(name)
-        .and_then(Value::as_str)
-        .ok_or_else(|| SnapshotFormatError::new(format!("missing string field `{name}`")))
-}
-
-fn f64_field(m: &Map, name: &str) -> Result<f64, SnapshotFormatError> {
-    m.get(name)
-        .and_then(Value::as_f64)
-        .ok_or_else(|| SnapshotFormatError::new(format!("missing number field `{name}`")))
-}
-
-fn u64_field(m: &Map, name: &str) -> Result<u64, SnapshotFormatError> {
-    m.get(name)
-        .and_then(Value::as_u64)
-        .ok_or_else(|| SnapshotFormatError::new(format!("missing integer field `{name}`")))
-}
-
-fn u64_array(m: &Map, name: &str) -> Result<Vec<u64>, SnapshotFormatError> {
-    let items = m
-        .get(name)
-        .and_then(|v| match v {
-            Value::Array(items) => Some(items),
-            _ => None,
-        })
-        .ok_or_else(|| SnapshotFormatError::new(format!("missing array field `{name}`")))?;
-    items
-        .iter()
-        .map(|v| {
-            v.as_u64()
-                .ok_or_else(|| SnapshotFormatError::new(format!("`{name}` holds a non-integer")))
-        })
-        .collect()
+/// Decodes one metric entry's kind-specific members.
+fn metric(m: &Map, name: &str) -> Result<Metric, SnapshotFormatError> {
+    Ok(match str_field(m, "kind")? {
+        "counter" => Metric::Counter(u64_field(m, "value")?),
+        "sum" => Metric::Sum(f64_field(m, "value")?),
+        "gauge" => {
+            let (value, high_water) = (u64_field(m, "value")?, u64_field(m, "high_water")?);
+            if high_water < value {
+                return Err(SnapshotFormatError::new(format!(
+                    "gauge `{name}` high_water {high_water} below value {value}"
+                )));
+            }
+            Metric::Gauge { value, high_water }
+        }
+        "histogram" => {
+            let bounds = u64_array(m, "bounds")?;
+            let counts = u64_array(m, "counts")?;
+            if counts.len() != bounds.len() + 1 {
+                return Err(SnapshotFormatError::new(format!(
+                    "histogram `{name}`: {} counts for {} bounds (want bounds+1)",
+                    counts.len(),
+                    bounds.len()
+                )));
+            }
+            if bounds.windows(2).any(|w| w[0] >= w[1]) {
+                return Err(SnapshotFormatError::new(format!(
+                    "histogram `{name}` bounds not strictly ascending"
+                )));
+            }
+            Metric::Histogram {
+                bounds: bounds.into(),
+                counts,
+                total: u64_field(m, "total")?,
+            }
+        }
+        other => {
+            return Err(SnapshotFormatError::new(format!(
+                "metric `{name}` has unknown kind `{other}`"
+            )))
+        }
+    })
 }
 
 #[cfg(test)]
@@ -596,8 +479,8 @@ mod tests {
         // Spans got sorted by id at freeze time.
         assert_eq!(snap.spans[0].id, 0);
         assert_eq!(snap.spans[1].id, 1);
-        Snapshot::validate_json(&text).expect("valid against schema");
-        Snapshot::validate_json(&snap.to_json_string_pretty()).expect("pretty form also valid");
+        let pretty = Snapshot::from_json_str(&snap.to_json_string_pretty());
+        assert_eq!(pretty.expect("pretty form also parses"), snap);
     }
 
     #[test]
@@ -605,12 +488,15 @@ mod tests {
         let snap = Snapshot::from_sink(sample_sink());
         let good = snap.to_json_string();
         let bad_tag = good.replace(FORMAT_TAG, "PIMTEL99");
-        assert!(Snapshot::validate_json(&bad_tag).is_err());
+        assert!(Snapshot::from_json_str(&bad_tag).is_err());
         let bad_kind = good.replace("\"counter\"", "\"kounter\"");
-        assert!(Snapshot::validate_json(&bad_kind).is_err());
-        assert!(Snapshot::validate_json("{}").is_err());
-        assert!(Snapshot::validate_json("not json").is_err());
+        assert!(Snapshot::from_json_str(&bad_kind).is_err());
+        assert!(Snapshot::from_json_str("{}").is_err());
+        assert!(Snapshot::from_json_str("not json").is_err());
     }
+
+    /// A schema rule and a mutation that breaks it.
+    type Violation = (&'static str, fn(&mut Value));
 
     /// Array element `i` of `v`.
     fn at(v: &mut Value, i: usize) -> &mut Value {
@@ -638,7 +524,7 @@ mod tests {
         let good = Snapshot::from_sink(sample_sink())
             .with_meta("experiment", "unit")
             .to_value();
-        let rules: [(&str, fn(&mut Value)); 10] = [
+        let rules: [Violation; 10] = [
             ("format tag", |v| {
                 v["format"] = Value::Str("PIMTEL99".into())
             }),
@@ -681,6 +567,38 @@ mod tests {
                 Snapshot::from_json_str(&text(&bad)).is_err(),
                 "accepted a violation of: {rule}"
             );
+        }
+    }
+
+    /// Inputs a reader must refuse rather than mangle: a metric index,
+    /// queue depth or exec group past `u32::MAX` (an index of 2^32 + 0
+    /// used to truncate onto index 0 and overwrite that series), and a
+    /// series whose instances mix kinds (which made
+    /// [`Snapshot::to_table_string`] panic).
+    #[test]
+    fn out_of_range_and_mixed_series_are_rejected() {
+        let good = Snapshot::from_sink(sample_sink()).to_value();
+        let past_u32 = Value::Num((1u64 << 32) as f64);
+        let mut bad = Vec::new();
+        let mut collapse = good.clone();
+        let act3 = at(&mut collapse["metrics"], 2);
+        assert_eq!(act3["index"], Value::Num(3.0), "dram.cmd.act[3]");
+        act3["index"] = past_u32.clone();
+        bad.push(collapse);
+        let mut mixed = good.clone();
+        let act3 = at(&mut mixed["metrics"], 2);
+        act3["kind"] = Value::Str("gauge".into());
+        act3["high_water"] = Value::Num(7.0);
+        bad.push(mixed);
+        let mut depth = good.clone();
+        at(&mut depth["spans"], 1)["queue_depth"] = past_u32.clone();
+        bad.push(depth);
+        let mut group = good.clone();
+        at(&mut group["spans"], 1)["exec"]["group"] = past_u32;
+        bad.push(group);
+        for v in bad {
+            let text = serde_json::to_string(&v).expect("finite values");
+            assert!(Snapshot::from_json_str(&text).is_err(), "accepted {text}");
         }
     }
 

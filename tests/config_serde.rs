@@ -1,6 +1,4 @@
-//! Configuration serialization round-trips (the `serde` feature).
-
-#![cfg(feature = "serde")]
+//! Configuration serialization round-trips.
 
 use pim::dram::{AddressMapping, DramSpec, RowPolicy};
 use pim::energy::{CacheEnergyModel, ComputeEnergyModel, DramEnergyModel, LinkEnergyModel};
