@@ -17,6 +17,7 @@ use pim_dram::{
 use pim_energy::{DramEnergyModel, EnergyBreakdown};
 use pim_workloads::{BitVec, BitwisePlan, BulkOp, PlanStep, Reg};
 use std::fmt;
+use std::sync::Mutex;
 
 /// Configuration for an [`AmbitSystem`].
 #[derive(Debug, Clone)]
@@ -430,48 +431,69 @@ fn run_sites(
 /// A bank's replay worklist: the sites that touch it, in program order.
 type BankGroups = Vec<(BankId, Vec<SiteCmd>)>;
 
-/// Forks one shard per `(bank, sites)` pair off `parent` (the whole
-/// device, or a channel shard on the two-level path), replays each group
-/// under a rayon scope, and joins shards back in first-appearance bank
-/// order. Returns the last completion cycle, faults injected, and the
-/// max-merged per-chunk completion times.
+/// Forks one shard per `(bank, sites)` pair off the device, replays each
+/// group under a rayon scope, and joins shards back in first-appearance
+/// bank order. Every forked shard is joined, errored or not, so the rows
+/// of a failing bank (and of every bank after it) stay observable; the
+/// first error is returned after the joins. Returns the last completion
+/// cycle, faults injected, and the max-merged per-chunk completion times.
 fn run_bank_groups(
-    parent: &mut Device,
+    device: &mut Device,
     pairs: BankGroups,
     start: Cycle,
     n_chunks: usize,
     rate: f64,
     seed: u64,
 ) -> Result<(Cycle, u64, Vec<Cycle>)> {
-    let mut work = Vec::with_capacity(pairs.len());
-    for (b, group) in pairs {
-        work.push((b, parent.fork_bank(b)?, group));
-    }
     use rayon::prelude::*;
-    // Per-shard outcome: (device shard, end cycle, faults, chunk ends).
-    type ShardRun = (Device, Cycle, u64, Vec<Cycle>);
-    let results: Vec<(BankId, Result<ShardRun>)> = work
+    // Each worker forks its own shards under the lock. A fork copies the
+    // device's timing tree; made on the calling thread, those copies
+    // interleaved with the row arenas on its heap and bimodally inflated
+    // peak RSS on a 256-bank device.
+    let parent = Mutex::new(&mut *device);
+    // Per-bank outcome: the shard, then (end cycle, faults, chunk ends) or
+    // the error that stopped it.
+    type ShardRun = (BankId, Option<Device>, Result<(Cycle, u64, Vec<Cycle>)>);
+    let results: Vec<ShardRun> = pairs
         .into_par_iter()
-        .map(|(b, mut dev, group)| {
+        .map(|(b, group)| {
+            let fork = parent.lock().expect("no fork panics").fork_bank(b);
+            let mut dev = match fork {
+                Ok(dev) => dev,
+                Err(e) => return (b, None, Err(e.into())),
+            };
             let mut scratch = RunScratch::default();
             let res = run_sites(&mut dev, &group, start, n_chunks, rate, seed, &mut scratch)
-                .map(|(end, faults)| (dev, end, faults, scratch.chunk_time));
-            (b, res)
+                .map(|(end, faults)| (end, faults, scratch.chunk_time));
+            (b, Some(dev), res)
         })
         .collect();
+    let device = parent.into_inner().expect("no fork panics");
     let mut chunk_time = vec![start; n_chunks];
     let mut end = start;
     let mut faults = 0u64;
-    for (b, res) in results {
-        let (shard, e, f, ct) = res?;
-        parent.join_bank(b, shard)?;
-        end = end.max(e);
-        faults += f;
-        for (merged, t) in chunk_time.iter_mut().zip(ct) {
-            *merged = (*merged).max(t);
+    let mut first_err = None;
+    for (b, shard, res) in results {
+        if let Some(shard) = shard {
+            device.join_bank(b, shard)?;
+        }
+        match res {
+            Ok((e, f, ct)) => {
+                end = end.max(e);
+                faults += f;
+                for (merged, t) in chunk_time.iter_mut().zip(ct) {
+                    *merged = (*merged).max(t);
+                }
+            }
+            Err(e) => {
+                first_err.get_or_insert(e);
+            }
         }
     }
-    Ok((end, faults, chunk_time))
+    match first_err {
+        Some(e) => Err(e),
+        None => Ok((end, faults, chunk_time)),
+    }
 }
 
 impl AmbitSystem {
@@ -543,22 +565,13 @@ impl AmbitSystem {
         Ok(end)
     }
 
-    /// Sharded execution, two levels deep — channel-major, bank-minor.
-    /// Returns `None` when parallelism cannot help: a single worker
-    /// thread, a non-exempt timing model (PIM ops couple banks through
-    /// rank tRRD/tFAW state), or all sites landing in one bank. `sites` is
-    /// only read — `SiteCmd` is `Copy`, so partitioning copies sites into
-    /// per-bank groups without disturbing the caller's reusable buffer.
-    ///
-    /// With one channel touched this is the original one-level bank fork
-    /// from the parent device. With several, one channel shard is forked
-    /// per touched channel ([`Device::fork_channel`]); each channel's
-    /// worker then forks its banks from the *channel shard* and runs them
-    /// under a nested rayon scope, so scaling is no longer capped by one
-    /// channel's bank count. Joins happen channel-major then bank-major in
-    /// first-appearance order, which makes the raw merged trace order
-    /// deterministic; normalization on (cycle, channel, rank, bank) makes
-    /// it byte-identical to the sequential capture.
+    /// Sharded execution: one shard per touched bank, forked straight off
+    /// the device whatever the channel count. Returns `None` when
+    /// parallelism cannot help: a single worker thread, a non-exempt
+    /// timing model (PIM ops couple banks through rank tRRD/tFAW state), or
+    /// all sites landing in one bank. `sites` is only read — `SiteCmd` is
+    /// `Copy`, so partitioning copies sites into per-bank groups without
+    /// disturbing the caller's reusable buffer.
     fn run_banked_parallel(
         &mut self,
         sites: &[SiteCmd],
@@ -569,94 +582,27 @@ impl AmbitSystem {
             return Ok(None);
         }
         // Partition by bank, preserving per-bank site order.
-        let mut banks: Vec<BankId> = Vec::new();
-        let mut groups: Vec<Vec<SiteCmd>> = Vec::new();
+        let mut pairs: BankGroups = Vec::new();
         for &s in sites {
             let b = s.cmd.bank().expect("the engine issues bank-local commands");
-            match banks.iter().position(|&x| x == b) {
-                Some(i) => groups[i].push(s),
-                None => {
-                    banks.push(b);
-                    groups.push(vec![s]);
-                }
+            match pairs.iter_mut().find(|(x, _)| *x == b) {
+                Some((_, group)) => group.push(s),
+                None => pairs.push((b, vec![s])),
             }
         }
-        if banks.len() <= 1 {
+        if pairs.len() <= 1 {
             return Ok(None);
         }
-        let rate = self.tra_failure_rate;
-        let seed = self.fault_seed;
-        // Distinct channels, first-appearance order.
-        let mut chans: Vec<u32> = Vec::new();
-        for b in &banks {
-            if !chans.contains(&b.channel) {
-                chans.push(b.channel);
-            }
-        }
-        if chans.len() == 1 {
-            // One channel touched: bank-fork straight off the parent.
-            let pairs: BankGroups = banks.into_iter().zip(groups).collect();
-            let (end, faults, chunk_time) =
-                run_bank_groups(&mut self.device, pairs, start, n_chunks, rate, seed)?;
-            self.run_buf.chunk_time = chunk_time;
-            self.faults_injected += faults;
-            return Ok(Some(end));
-        }
-        // Two-level: fork one shard per touched channel, hand each worker
-        // its channel's (bank, sites) groups.
-        let mut per_chan: Vec<(u32, Device, BankGroups)> = Vec::with_capacity(chans.len());
-        for &ch in &chans {
-            per_chan.push((ch, self.device.fork_channel(ch)?, Vec::new()));
-        }
-        for (b, g) in banks.into_iter().zip(groups) {
-            let slot = per_chan
-                .iter_mut()
-                .find(|(c, _, _)| *c == b.channel)
-                .expect("every bank's channel was forked");
-            slot.2.push((b, g));
-        }
-        use rayon::prelude::*;
-        type ChanRun = (u32, Device, Result<(Cycle, u64, Vec<Cycle>)>);
-        let results: Vec<ChanRun> = per_chan
-            .into_par_iter()
-            .map(|(ch, mut dev, pairs)| {
-                let res = if pairs.len() == 1 {
-                    // A single bank in this channel: run directly on the
-                    // channel shard, no inner fork.
-                    let mut scratch = RunScratch::default();
-                    run_sites(
-                        &mut dev,
-                        &pairs[0].1,
-                        start,
-                        n_chunks,
-                        rate,
-                        seed,
-                        &mut scratch,
-                    )
-                    .map(|(end, faults)| (end, faults, scratch.chunk_time))
-                } else {
-                    run_bank_groups(&mut dev, pairs, start, n_chunks, rate, seed)
-                };
-                (ch, dev, res)
-            })
-            .collect();
-        // Join channel-major; merge the shards' per-chunk completion times
-        // (each chunk's commands live in exactly one bank, so max == the
-        // one real entry) so `last_chunk_ends` is path-independent. The
-        // shard is joined back even when its run errored, so the partial
-        // prefix's data stays observable.
-        self.run_buf.chunk_time.clear();
-        self.run_buf.chunk_time.resize(n_chunks, start);
-        let mut end = start;
-        for (ch, shard, res) in results {
-            self.device.join_channel(ch, shard)?;
-            let (e, faults, chunk_time) = res?;
-            end = end.max(e);
-            self.faults_injected += faults;
-            for (merged, t) in self.run_buf.chunk_time.iter_mut().zip(chunk_time) {
-                *merged = (*merged).max(t);
-            }
-        }
+        let (end, faults, chunk_time) = run_bank_groups(
+            &mut self.device,
+            pairs,
+            start,
+            n_chunks,
+            self.tra_failure_rate,
+            self.fault_seed,
+        )?;
+        self.run_buf.chunk_time = chunk_time;
+        self.faults_injected += faults;
         Ok(Some(end))
     }
 
@@ -1140,7 +1086,7 @@ impl AmbitSystem {
     /// lives in. This is the path the built-in bulk operations take too
     /// ([`AmbitSystem::execute`] runs [`program_for`] over `[a, b?, dst]`),
     /// so a compiled program rides the same batched issue fast path and
-    /// channel-domain sharding.
+    /// bank sharding.
     ///
     /// The returned report's `bytes_out` is `0`: the engine cannot know
     /// which planes are the program's payload, so callers attribute output
@@ -1964,6 +1910,45 @@ mod tests {
         assert_eq!(sys.read(&out).count_ones() as usize, bits);
         sys.fill(&out, false).unwrap();
         assert_eq!(sys.read(&out).count_ones(), 0);
+    }
+
+    #[test]
+    fn failing_bank_shard_keeps_every_banks_rows() {
+        // The middle bank's copy crosses subarrays and errors; every shard
+        // is still joined back, so no bank's rows read as zero afterwards.
+        let mut dev = Device::new(DramSpec::ddr3_1600());
+        let far = dev.spec().org.rows_per_subarray() + 2;
+        let banks: Vec<BankId> = (0..3).map(|b| BankId::new(0, 0, b)).collect();
+        for (i, b) in banks.iter().enumerate() {
+            dev.store_mut().write_word(b.row(1), 0, 0xA0 + i as u64);
+        }
+        let pairs: BankGroups = banks
+            .iter()
+            .enumerate()
+            .map(|(i, &b)| {
+                let dst = if i == 1 { far } else { 2 };
+                let cmd = Command::Aap {
+                    src: b.row(1),
+                    dst: b.row(dst),
+                    invert: false,
+                };
+                let site = SiteCmd {
+                    site: i as u64,
+                    chunk: i,
+                    cmd,
+                    fault_rows: FaultRows::default(),
+                };
+                (b, vec![site])
+            })
+            .collect();
+        assert!(run_bank_groups(&mut dev, pairs, 0, 3, 0.0, 0).is_err());
+        for (i, b) in banks.iter().enumerate() {
+            let seeded = 0xA0 + i as u64;
+            assert_eq!(dev.store().read_word(b.row(1), 0), seeded, "bank {i}");
+            if i != 1 {
+                assert_eq!(dev.store().read_word(b.row(2), 0), seeded, "bank {i} copy");
+            }
+        }
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Multi-channel determinism: arbitrary Ambit programs on a 2-channel,
 //! 2-rank device must produce byte-identical data, normalized trace
 //! bytes, and telemetry snapshots whether the engine runs sequentially
-//! (one worker thread) or channel-then-bank sharded (4 or 8 worker
-//! threads). This is the determinism contract behind
-//! `Device::fork_channel`/`join_channel` and the engine's two-level
-//! fork.
+//! (one worker thread) or bank-sharded (4 or 8 worker threads). Every
+//! bank of every channel is forked straight off the device, so this is
+//! the engine's cross-channel determinism guard: shards of distinct
+//! channels and ranks join back into one byte-identical capture.
 
 use pim_ambit::{AmbitConfig, AmbitSystem};
 use pim_dram::{DramSpec, Observer, Projection};
@@ -100,7 +100,7 @@ fn run_program(banks: usize, program: &[u8], seed: u64, rate: f64) -> RunFingerp
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// The tentpole invariant: sequential and channel-sharded execution
+    /// The tentpole invariant: sequential and bank-sharded execution
     /// of the same multi-channel program are
     /// indistinguishable in every observable, at every thread count.
     #[test]

@@ -1,21 +1,23 @@
 //! Capacity-scaling experiment family (`results/BENCH_scaling.json`):
 //! the 256-bank E1 bulk-AND sweep with parallel-efficiency points at
-//! 1/2/4/8 threads, the multi-stack E5 shard check, and the
-//! host-interference ablation — plus the regression bands CI gates on.
+//! 1/2/4/8 threads, the multi-stack E5 identity and balance check, and
+//! the host-interference ablation — plus the regression bands CI gates on.
 //!
 //! ## Methodology: schedule-model words/s
 //!
 //! Thread-scaling numbers are computed from *measured per-channel-domain
-//! costs*, scheduled exactly as the runtime schedules channel shards
-//! (contiguous chunks per worker — the vendored rayon policy), not from
-//! end-to-end wall clock of the parallel runs themselves: CI containers
-//! are routinely pinned to one or two cores, where the wall clock of an
-//! 8-thread pool measures the host scheduler, not the shard structure.
-//! Each channel domain's cost *is* a measured wall time (that domain's
-//! slice running alone, minimum over repetitions); each thread count's
-//! makespan is the critical path of the real chunk schedule over those
-//! measured costs, and `words_per_s = words / makespan`. The sharded
-//! runs still execute for real at every thread count — that is what the
+//! costs*, scheduled as contiguous chunks per worker (the vendored rayon
+//! policy), not from end-to-end wall clock of the parallel runs
+//! themselves: CI containers are routinely pinned to one or two cores,
+//! where the wall clock of an 8-thread pool measures the host scheduler,
+//! not the shard structure. The model prices each channel domain as an
+//! independent shard — a property of the machine, which shares no timing
+//! state across channels — while the engine itself forks per bank. Each
+//! channel domain's cost *is* a measured wall time (that domain's slice
+//! running alone, minimum over repetitions); each thread count's makespan
+//! is the critical path of the chunk schedule over those measured costs,
+//! and `words_per_s = words / makespan`. The bank-sharded runs still
+//! execute for real at every thread count — that is what the
 //! byte-identity assertion checks — and the measured sequential
 //! whole-device time is reported next to the domain-cost sum so the
 //! schedule model's own error stays visible.
@@ -116,12 +118,14 @@ fn makespan(domain_secs: &[f64], threads: usize) -> f64 {
         .fold(0.0, f64::max)
 }
 
-/// One thread count's efficiency point.
+/// One thread count's efficiency point, from the schedule model: the
+/// machine's channel domains priced as independent shards, whatever
+/// shape the engine forks in (it forks per bank).
 #[derive(Debug, Clone)]
 pub struct ThreadPoint {
     /// Worker threads of the modeled pool.
     pub threads: usize,
-    /// Critical path of the channel-shard schedule, in seconds.
+    /// Critical path of the channel-domain schedule, in seconds.
     pub makespan_secs: f64,
     /// 64-bit output words per second at that makespan.
     pub words_per_s: f64,
@@ -144,7 +148,7 @@ pub struct E1Scaling {
     pub seq_secs: f64,
     /// Measured per-channel-domain seconds, channel order.
     pub domain_secs: Vec<f64>,
-    /// Sequential and channel-sharded runs agree on every output bit and
+    /// Sequential and bank-sharded runs agree on every output bit and
     /// every normalized trace byte at 2/4/8 threads.
     pub byte_identical: bool,
     /// The protocol oracle accepts the sequential 256-bank trace.
@@ -231,7 +235,7 @@ pub fn e1_scaling() -> E1Scaling {
 /// One stack-count point of the multi-stack E5 check.
 #[derive(Debug, Clone)]
 pub struct StackPoint {
-    /// Stack count the vault groups shard across.
+    /// Stack count of the machine.
     pub stacks: u32,
     /// Output and execution trace equal the flat (1-stack) run's.
     pub identical: bool,
@@ -239,13 +243,13 @@ pub struct StackPoint {
     /// on the busiest stack.
     pub max_stack_work: u64,
     /// `total_work / (stacks * max_stack_work)` — 1.0 is a perfectly
-    /// balanced shard split.
+    /// balanced split.
     pub balance: f64,
     /// Wall seconds of the kernel run (informational).
     pub secs: f64,
 }
 
-/// The multi-stack E5 entry: PageRank sharded across 1/4/16 stacks.
+/// The multi-stack E5 entry: PageRank on 1-, 4- and 16-stack machines.
 #[derive(Debug, Clone)]
 pub struct MultiStack {
     /// Kernel measured.
@@ -256,9 +260,9 @@ pub struct MultiStack {
     pub points: Vec<StackPoint>,
 }
 
-/// Runs PageRank on the ISCA'15 machine with vault groups sharded across
-/// 1, 4, and 16 stacks; asserts the shard annotation never changes an
-/// observable and reports per-stack load balance from the trace.
+/// Runs PageRank on the ISCA'15 machine spread over 1, 4, and 16 stacks;
+/// asserts the stack count never changes an observable and reports
+/// per-stack load balance from the trace's per-vault counters.
 pub fn multi_stack() -> MultiStack {
     let mut rng = rand::rngs::StdRng::seed_from_u64(42);
     let graph = Graph::rmat(16, 16, &mut rng);
@@ -490,8 +494,9 @@ pub fn to_value(r: &ScalingReport) -> Value {
 
 /// Checks the regression bands over a `BENCH_scaling.json` value tree.
 /// This is the CI gate: identity and oracle flags must hold, the
-/// channel-shard schedule must reach 1.5x/2.5x/3.0x at 2/4/8 threads,
-/// stack sharding must stay observable-invariant with a balanced split,
+/// channel-domain schedule must reach 1.5x/2.5x/3.0x at 2/4/8 threads,
+/// every stack count must leave the observables unchanged with a
+/// balanced per-stack split,
 /// and host interference must cost something without exploding.
 ///
 /// # Errors

@@ -660,24 +660,6 @@ impl DataStore {
         std::mem::take(&mut self.banks)
     }
 
-    /// Removes and returns every arena belonging to `channel` (those rows
-    /// then read as zero here); an empty vector if the channel was never
-    /// touched. O(banks): slabs move, nothing is copied. Used to carve a
-    /// per-channel shard for channel-domain parallel execution.
-    pub fn take_channel(&mut self, channel: u32) -> Vec<BankRows> {
-        self.last_bank.set(usize::MAX);
-        let mut taken = Vec::new();
-        let mut i = 0;
-        while i < self.banks.len() {
-            if self.banks[i].bank.channel == channel {
-                taken.push(self.banks.swap_remove(i));
-            } else {
-                i += 1;
-            }
-        }
-        taken
-    }
-
     /// Inserts an arena previously removed with [`DataStore::take_bank`] /
     /// [`DataStore::take_all_banks`]. If rows of that bank were
     /// re-materialized here in the meantime, the incoming rows overwrite

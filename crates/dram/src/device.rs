@@ -9,7 +9,7 @@
 
 use crate::bank::{Bank, BankState};
 use crate::command::{Command, CommandCounts, CommandKind};
-use crate::data::{BankRows, DataStore};
+use crate::data::DataStore;
 use crate::error::{DramError, Result};
 use crate::spec::DramSpec;
 use crate::trace::{Observer, Projection};
@@ -103,10 +103,10 @@ pub struct Device {
     batch_runs: bool,
     /// Commands issued through [`Device::issue_run`] since construction or
     /// the last [`Device::reset_batched_commands`]. **Accumulates on
-    /// join**: [`Device::join_bank`] and [`Device::join_channel`] *add*
-    /// each shard's count to the parent's, so across repeated fork/join
-    /// cycles this is the running total of fast-path commands — reset it
-    /// between measurement windows. Proves the fast path actually engaged.
+    /// join**: [`Device::join_bank`] *adds* each shard's count to the
+    /// parent's, so across repeated fork/join cycles this is the running
+    /// total of fast-path commands — reset it between measurement windows.
+    /// Proves the fast path actually engaged.
     batched_commands: u64,
 }
 
@@ -203,8 +203,8 @@ impl Device {
     /// Commands issued through the batched-run fast path so far.
     ///
     /// The counter accumulates across fork/join cycles (every
-    /// [`Device::join_bank`] / [`Device::join_channel`] adds the shard's
-    /// count); see [`Device::reset_batched_commands`].
+    /// [`Device::join_bank`] adds the shard's count); see
+    /// [`Device::reset_batched_commands`].
     pub fn batched_commands(&self) -> u64 {
         self.batched_commands
     }
@@ -806,97 +806,28 @@ impl Device {
     /// the shard concurrently with other banks' shards.
     ///
     /// The moved rows read as zero in `self` until [`Device::join_bank`]
-    /// returns them. The shard starts with fresh command counts so the join
-    /// can merge them back without double counting.
+    /// returns them. The shard starts with fresh counts and an empty fork
+    /// of the observer, so the join merges them back without double
+    /// counting.
     ///
     /// Timing equivalence holds only for commands that are *bank-local* in
     /// the timing model — with `pim.faw_exempt` set (the default), all PIM
     /// row ops (`Aap`/`Ap`/`Tra`/`TraAap`) qualify because they never touch
     /// rank-level tRRD/tFAW state. Callers must not issue rank-coupled
-    /// commands on a shard.
+    /// commands on a shard. Bank-local commands touch no state outside
+    /// their bank, so shards of any banks — in one channel or across
+    /// several — compose.
     ///
     /// # Errors
     ///
     /// Returns [`DramError::AddressOutOfRange`] if `bank` does not exist.
     pub fn fork_bank(&mut self, bank: BankId) -> Result<Device> {
         self.check_bank_id(bank)?;
-        let arena = self.store.take_bank(bank);
-        Ok(self.shard(arena))
-    }
-
-    /// Reabsorbs a shard produced by [`Device::fork_bank`]: `bank`'s timing
-    /// state is taken from the shard, the shard's rows move back into this
-    /// store, and the shard's command counts merge into this device's.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DramError::AddressOutOfRange`] if `bank` does not exist.
-    pub fn join_bank(&mut self, bank: BankId, shard: Device) -> Result<()> {
-        self.check_bank_id(bank)?;
-        *self.bank_mut(bank) = shard.bank(bank).clone();
-        self.absorb(shard);
-        Ok(())
-    }
-
-    /// Splits off a shard device that owns all of `channel`: every row
-    /// arena of the channel's banks moves into the shard, and the shard
-    /// gets a copy of the full timing state (including the channel's
-    /// rank-level tRRD/tFAW windows and data-bus turnaround chain).
-    ///
-    /// Unlike [`Device::fork_bank`] — whose timing equivalence only covers
-    /// bank-local commands — a channel shard is timing-equivalent for
-    /// *every* command confined to that channel, including rank-coupled
-    /// ones (ACT under tRRD/tFAW, RD/WR bus turnaround, REF/PREA), because
-    /// [`Device::join_channel`] restores the whole `ChannelTiming` subtree.
-    /// Channels share no timing state with each other, so channel shards
-    /// compose: concurrent shards of distinct channels are bit-identical
-    /// to sequential execution. A channel shard may itself be forked
-    /// further with [`Device::fork_bank`] (the two-level channel → bank
-    /// fork the Ambit engine uses).
-    ///
-    /// The moved rows read as zero in `self` until [`Device::join_channel`]
-    /// returns them. The shard starts with fresh counts and an empty
-    /// observer so the join merges without double counting.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DramError::AddressOutOfRange`] if `channel` does not exist.
-    pub fn fork_channel(&mut self, channel: u32) -> Result<Device> {
-        self.check_bank_id(BankId::new(channel, 0, 0))?;
-        let arenas = self.store.take_channel(channel);
-        Ok(self.shard(arenas))
-    }
-
-    /// Reabsorbs a shard produced by [`Device::fork_channel`]: the whole
-    /// `ChannelTiming` subtree (all ranks, banks, activate windows, and
-    /// bus turnaround state) is taken from the shard, the shard's rows
-    /// move back into this store, and the shard's counts, batched-command
-    /// diagnostic, and observed events merge into this device's.
-    ///
-    /// Merge ordering: callers joining several channel shards must join in
-    /// ascending channel order so the concatenated (channel-major) trace
-    /// normalizes identically to a sequential capture — see
-    /// [`trace::normalize`](crate::trace::normalize).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DramError::AddressOutOfRange`] if `channel` does not exist.
-    pub fn join_channel(&mut self, channel: u32, shard: Device) -> Result<()> {
-        self.check_bank_id(BankId::new(channel, 0, 0))?;
-        self.channels[channel as usize] = shard.channels[channel as usize].clone();
-        self.absorb(shard);
-        Ok(())
-    }
-
-    /// A shard owning `arenas`, with a copy of the timing state, fresh
-    /// counts, and an empty fork of the observer (so joins merge without
-    /// double counting).
-    fn shard(&self, arenas: impl IntoIterator<Item = BankRows>) -> Device {
         let mut store = DataStore::new(self.spec.org.row_bytes());
-        for arena in arenas {
+        if let Some(arena) = self.store.take_bank(bank) {
             store.insert_bank(arena);
         }
-        Device {
+        Ok(Device {
             spec: self.spec.clone(),
             channels: self.channels.clone(),
             store,
@@ -904,13 +835,20 @@ impl Device {
             observer: self.observer.as_ref().map(Observer::fork),
             batch_runs: self.batch_runs,
             batched_commands: 0,
-        }
+        })
     }
 
-    /// The join common to both shard kinds: the shard's rows move back,
-    /// and its counts, batched-command diagnostic, and observed events
-    /// merge into this device's.
-    fn absorb(&mut self, mut shard: Device) {
+    /// Reabsorbs a shard produced by [`Device::fork_bank`]: `bank`'s timing
+    /// state is taken from the shard, the shard's rows move back into this
+    /// store, and its counts, batched-command diagnostic, and observed
+    /// events merge into this device's.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DramError::AddressOutOfRange`] if `bank` does not exist.
+    pub fn join_bank(&mut self, bank: BankId, mut shard: Device) -> Result<()> {
+        self.check_bank_id(bank)?;
+        *self.bank_mut(bank) = shard.bank(bank).clone();
         for arena in shard.store.take_all_banks() {
             self.store.insert_bank(arena);
         }
@@ -919,6 +857,7 @@ impl Device {
         if let (Some(mine), Some(theirs)) = (&mut self.observer, shard.observer) {
             mine.absorb(theirs);
         }
+        Ok(())
     }
 }
 
@@ -1495,156 +1434,6 @@ mod tests {
     fn fork_bank_rejects_bad_bank() {
         let mut d = dev();
         assert!(d.fork_bank(BankId::new(9, 0, 0)).is_err());
-    }
-
-    fn dev2ch() -> Device {
-        Device::new(DramSpec::ddr3_1600().with_channels(2))
-    }
-
-    /// A channel-confined program mixing rank-coupled commands (ACT under
-    /// tRRD/tFAW, RD/WR bus turnaround) with PIM row ops — the command
-    /// classes `fork_bank` cannot shard but `fork_channel` must.
-    fn run_channel_program(d: &mut Device, ch: u32) -> Cycle {
-        let mut end = 0;
-        for b in 0..4 {
-            let r = RowId::new(ch, 0, b, 7);
-            let (_, out) = d.issue_earliest(Command::Act(r), 0).unwrap();
-            end = end.max(out.done);
-        }
-        for b in 0..4 {
-            let r = RowId::new(ch, 0, b, 7);
-            let (_, out) = d.issue_earliest(Command::Rd(r.addr(0)), 0).unwrap();
-            end = end.max(out.done);
-            let (_, out) = d.issue_earliest(Command::WrA(r.addr(1)), 0).unwrap();
-            end = end.max(out.done);
-        }
-        let (_, out) = d
-            .issue_earliest(Command::Ap(RowId::new(ch, 0, 5, 3)), 0)
-            .unwrap();
-        end.max(out.done)
-    }
-
-    #[test]
-    fn fork_channel_matches_direct_execution() {
-        // The same per-channel programs run directly on one device and via
-        // per-channel shards; data, counts, timing state, and the
-        // normalized trace must be indistinguishable.
-        let mut direct = dev2ch();
-        direct.observe(Projection::Trace, true);
-        let mut direct_ends = Vec::new();
-        for ch in 0..2 {
-            direct
-                .store_mut()
-                .write_word(RowId::new(ch, 0, 1, 7), 0, 0xC0DE + ch as u64);
-            direct_ends.push(run_channel_program(&mut direct, ch));
-        }
-
-        let mut forked = dev2ch();
-        forked.observe(Projection::Trace, true);
-        for ch in 0..2 {
-            forked
-                .store_mut()
-                .write_word(RowId::new(ch, 0, 1, 7), 0, 0xC0DE + ch as u64);
-        }
-        let mut shard_ends = Vec::new();
-        let mut shards = Vec::new();
-        for ch in 0..2 {
-            shards.push(forked.fork_channel(ch).unwrap());
-        }
-        assert_eq!(
-            forked.store().read_word(RowId::new(0, 0, 1, 7), 0),
-            0,
-            "rows moved to shard"
-        );
-        for (ch, shard) in shards.iter_mut().enumerate() {
-            shard_ends.push(run_channel_program(shard, ch as u32));
-        }
-        for (ch, shard) in shards.into_iter().enumerate() {
-            forked.join_channel(ch as u32, shard).unwrap();
-        }
-
-        assert_eq!(shard_ends, direct_ends);
-        assert_eq!(forked.counts(), direct.counts());
-        for ch in 0..2 {
-            for b in 0..4 {
-                let r = RowId::new(ch, 0, b, 7);
-                assert_eq!(
-                    forked.store().read_word(r, 0),
-                    direct.store().read_word(r, 0)
-                );
-            }
-        }
-        // Rank-coupled timing state survives the round trip: the next ACT
-        // on each channel sees the same earliest cycle (tRRD/tFAW state
-        // was restored, not just per-bank chains).
-        for ch in 0..2 {
-            let probe = Command::Act(RowId::new(ch, 0, 6, 0));
-            assert_eq!(
-                forked.earliest(&probe).unwrap(),
-                direct.earliest(&probe).unwrap()
-            );
-        }
-        // Channel-major shard traces normalize to the sequential capture.
-        let mut a = direct.observer_mut().map(Observer::take_trace).unwrap();
-        let mut b = forked.observer_mut().map(Observer::take_trace).unwrap();
-        crate::trace::normalize(&mut a);
-        crate::trace::normalize(&mut b);
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn fork_channel_then_fork_bank_nests() {
-        // Two-level fork: a channel shard is itself bank-shardable, and
-        // bank-major joins inside a channel compose with the channel join.
-        let mut base = dev2ch();
-        let mut direct = dev2ch();
-        for b in 0..2 {
-            let src = RowId::new(1, 0, b, 4);
-            base.store_mut().write_word(src, 0, 0xAB + b as u64);
-            direct.store_mut().write_word(src, 0, 0xAB + b as u64);
-        }
-        let mut chan = base.fork_channel(1).unwrap();
-        for b in 0..2 {
-            let bank = BankId::new(1, 0, b);
-            let mut shard = chan.fork_bank(bank).unwrap();
-            shard
-                .issue_earliest(
-                    Command::Aap {
-                        src: RowId::new(1, 0, b, 4),
-                        dst: RowId::new(1, 0, b, 9),
-                        invert: false,
-                    },
-                    0,
-                )
-                .unwrap();
-            chan.join_bank(bank, shard).unwrap();
-        }
-        base.join_channel(1, chan).unwrap();
-
-        for b in 0..2 {
-            direct
-                .issue_earliest(
-                    Command::Aap {
-                        src: RowId::new(1, 0, b, 4),
-                        dst: RowId::new(1, 0, b, 9),
-                        invert: false,
-                    },
-                    0,
-                )
-                .unwrap();
-            assert_eq!(
-                base.store().read_word(RowId::new(1, 0, b, 9), 0),
-                direct.store().read_word(RowId::new(1, 0, b, 9), 0)
-            );
-        }
-        assert_eq!(base.counts(), direct.counts());
-    }
-
-    #[test]
-    fn fork_channel_rejects_bad_channel() {
-        let mut d = dev2ch();
-        assert!(d.fork_channel(2).is_err());
-        assert!(d.fork_channel(99).is_err());
     }
 
     #[test]

@@ -14,10 +14,10 @@
 //!
 //! ## Shard merging
 //!
-//! Device shards ([`Device::fork_bank`](crate::Device::fork_bank),
-//! [`Device::fork_channel`](crate::Device::fork_channel)) observe into an
-//! empty fork of the parent's observer, and the join appends their events
-//! shard-major, so consumers [`normalize`] traces (and
+//! Bank shards ([`Device::fork_bank`](crate::Device::fork_bank)), in one
+//! channel or across several, observe into an empty fork of the parent's
+//! observer, and the join appends their events shard-major, so consumers
+//! [`normalize`] traces (and
 //! `pim_profile::event::normalize` timelines) before comparing them: a
 //! stable sort on `(cycle, channel, rank, bank)`. Within one bank records
 //! are already in issue order (bank occupancy serializes them), so the

@@ -143,19 +143,19 @@ fn bank_sharded_capture_normalizes_to_sequential() {
         seq.issue_earliest(*cmd, 0).expect("issue");
     }
 
-    // The engine's two-level fork — each channel, then each of its banks
-    // — joined in reverse order to prove merge-order independence.
+    // The engine's fork: every bank of both channels straight off the
+    // device, all shards live at once, joined in reverse order to prove
+    // merge-order independence.
     let mut sharded = observed_device(spec);
-    for ch in (0..2).rev() {
-        let mut chan = sharded.fork_channel(ch).expect("fork channel");
-        for b in (0..banks).rev() {
-            let bank = BankId::new(ch, 0, b);
-            let mut shard = chan.fork_bank(bank).expect("fork bank");
-            let cmd = cmds[(ch * banks + b) as usize];
-            shard.issue_earliest(cmd, 0).expect("issue on shard");
-            chan.join_bank(bank, shard).expect("join bank");
-        }
-        sharded.join_channel(ch, chan).expect("join channel");
+    let mut shards = Vec::new();
+    for (i, cmd) in cmds.iter().enumerate() {
+        let bank = BankId::new(i as u32 / banks, 0, i as u32 % banks);
+        let mut shard = sharded.fork_bank(bank).expect("fork bank");
+        shard.issue_earliest(*cmd, 0).expect("issue on shard");
+        shards.push((bank, shard));
+    }
+    for (bank, shard) in shards.into_iter().rev() {
+        sharded.join_bank(bank, shard).expect("join bank");
     }
 
     assert_eq!(

@@ -184,7 +184,7 @@ fn disabled_profiling_takes_nothing() {
 /// Sharding invariance of the exported profile: the fork/merge sinks
 /// plus normalization must make the `PIMPROF01` JSON byte-identical at
 /// every thread count — one thread being sequential replay — on a
-/// multi-channel device where channel-domain sharding actually engages.
+/// multi-channel device, where the bank fork spans several channels.
 mod shard_invariance {
     use super::*;
     use pim_dram::DramSpec;

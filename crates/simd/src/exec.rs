@@ -7,7 +7,7 @@
 //! striped allocator, then hands the instruction sequence to
 //! [`AmbitSystem::execute_row_program`]. Nothing about the program
 //! changes per run: the same command sequence rides the engine's batched
-//! issue fast path and channel-domain sharding, gets traced and
+//! issue fast path and bank sharding, gets traced and
 //! telemetered like any built-in bulk operation, and frees every row it
 //! allocated before returning.
 

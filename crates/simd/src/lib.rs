@@ -19,7 +19,7 @@
 //!
 //! Compiled programs execute *unchanged* on [`pim_ambit::AmbitSystem`]
 //! via its row-program entry point, riding the batched command-issue
-//! fast path and channel-domain sharding, with traces and telemetry
+//! fast path and bank sharding, with traces and telemetry
 //! captured like any built-in operation.
 //!
 //! Correctness is differential: [`OpGraph::eval_reference`] is an

@@ -10,10 +10,10 @@ use pim_stack::StackConfig;
 pub struct TesseractConfig {
     /// The 3D stack hosting the PIM cores (one core per vault).
     pub stack: StackConfig,
-    /// Number of HMC cubes (stacks) the vaults are spread over. Vault
-    /// groups shard across stacks as contiguous blocks, so each stack is
-    /// an independent channel-domain-like execution shard; the engine's
-    /// superstep scan nests its parallelism stack → vault.
+    /// Number of HMC cubes (stacks) the vaults are spread over. It shapes
+    /// neither placement nor execution — the engine scans vaults in one
+    /// flat loop — but the runtime reports it as the backend's channel
+    /// domains, and per-stack load balance groups vault counters by it.
     pub stacks: u32,
     /// PIM core clock, GHz (in-order, IPC 1).
     pub core_ghz: f64,
@@ -87,8 +87,8 @@ impl TesseractConfig {
     }
 
     /// Copy with the vaults spread over `stacks` cubes (the multi-stack
-    /// scaling axis). Vault count is unchanged; only the sharding domain
-    /// structure moves.
+    /// scaling axis). Vault count, placement and every output are
+    /// unchanged; only the reported channel domains move.
     ///
     /// # Panics
     ///
@@ -97,12 +97,6 @@ impl TesseractConfig {
         assert!(stacks > 0, "stacks must be nonzero");
         self.stacks = stacks;
         self
-    }
-
-    /// Vaults per stack (the last stack may be smaller when vaults do not
-    /// divide evenly).
-    pub fn vaults_per_stack(&self) -> u32 {
-        self.stack.vaults.div_ceil(self.stacks)
     }
 
     /// Copy with both prefetchers disabled (ablation).
@@ -197,7 +191,6 @@ mod tests {
         let c = TesseractConfig::isca2015();
         assert_eq!(c.cores(), 512);
         assert_eq!(c.stacks, 16);
-        assert_eq!(c.vaults_per_stack(), 32);
         assert_eq!(TesseractConfig::single_cube().cores(), 32);
         assert_eq!(TesseractConfig::single_cube().stacks, 1);
         assert_eq!(TesseractConfig::single_cube().with_stacks(4).stacks, 4);

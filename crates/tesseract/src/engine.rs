@@ -240,11 +240,8 @@ impl VaultGroups {
 /// accumulator — and the barrier then merges traces and applies emits in
 /// **vault order**. That fixed merge order makes traces and outputs
 /// identical whether the vault scans run on one thread or many; with more
-/// than one worker thread the scans run concurrently. When the partition declares multiple stacks
-/// ([`VertexPartition::with_stacks`]) the scans nest stack → vault, each
-/// stack's contiguous vault block a shard domain of its own, with an
-/// ordered flatten that keeps the barrier merge byte-identical to the
-/// flat (and sequential) scan.
+/// than one worker thread the scans run concurrently, one flat parallel
+/// loop over the vaults whatever the machine's stack count.
 ///
 /// Returns the merged trace and each vault's accumulator (vault order) for
 /// the caller to fold.
@@ -271,35 +268,10 @@ fn run_superstep<M: Send, A: Default + Send>(
     };
     let results: Vec<(SuperstepTrace, Vec<Emit<M>>, A)> = if rayon::current_num_threads() > 1 {
         use rayon::prelude::*;
-        let stacks = p.stacks() as usize;
-        if stacks > 1 && groups.len() > 1 {
-            // Two-level stack → vault sharding: each stack's contiguous
-            // block of vault groups scans as a nested parallel scope, and
-            // the ordered flatten reproduces exactly the flat vault-order
-            // result — so traces/outputs are invariant in the stack count.
-            let per_stack = groups.len().div_ceil(stacks);
-            let bounds: Vec<(usize, usize)> = (0..stacks)
-                .map(|s| (s * per_stack, ((s + 1) * per_stack).min(groups.len())))
-                .filter(|&(lo, hi)| lo < hi)
-                .collect();
-            bounds
-                .into_par_iter()
-                .map(|(lo, hi)| {
-                    (lo..hi)
-                        .into_par_iter()
-                        .map(|i| run_group(&groups[i]))
-                        .collect::<Vec<_>>()
-                })
-                .collect::<Vec<_>>()
-                .into_iter()
-                .flatten()
-                .collect()
-        } else {
-            (0..groups.len())
-                .into_par_iter()
-                .map(|i| run_group(&groups[i]))
-                .collect()
-        }
+        (0..groups.len())
+            .into_par_iter()
+            .map(|i| run_group(&groups[i]))
+            .collect()
     } else {
         groups.iter().map(|g| run_group(g)).collect()
     };
@@ -808,22 +780,6 @@ mod tests {
             other => panic!("wrong output {other:?}"),
         }
         assert!(!trace.supersteps.is_empty());
-    }
-
-    #[test]
-    fn multi_stack_sharding_is_byte_identical() {
-        // The stack count is a pure sharding-domain annotation: outputs
-        // and traces must match the flat single-stack run exactly, for
-        // every kernel, at any stack count.
-        let g = graph();
-        for k in KernelKind::ALL {
-            let flat = run_kernel(k, &g, &VertexPartition::hashed(32));
-            for stacks in [2, 4, 16, 32] {
-                let sharded = run_kernel(k, &g, &VertexPartition::hashed(32).with_stacks(stacks));
-                assert_eq!(sharded.0, flat.0, "{k}: output differs at {stacks} stacks");
-                assert_eq!(sharded.1, flat.1, "{k}: trace differs at {stacks} stacks");
-            }
-        }
     }
 
     #[test]

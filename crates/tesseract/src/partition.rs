@@ -21,11 +21,6 @@ enum Mode {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VertexPartition {
     vaults: u32,
-    /// Stacks (HMC cubes) the vaults are spread over; vaults `[s*k,
-    /// (s+1)*k)` with `k = ceil(vaults/stacks)` belong to stack `s`.
-    /// Purely a sharding-domain annotation — vault assignment of
-    /// vertices and edge pages is independent of it.
-    stacks: u32,
     mode: Mode,
 }
 
@@ -41,7 +36,6 @@ impl VertexPartition {
         assert!(block > 0, "block must be nonzero");
         VertexPartition {
             vaults,
-            stacks: 1,
             mode: Mode::BlockCyclic { block },
         }
     }
@@ -56,40 +50,13 @@ impl VertexPartition {
         assert!(vaults > 0, "vaults must be nonzero");
         VertexPartition {
             vaults,
-            stacks: 1,
             mode: Mode::Hashed,
         }
-    }
-
-    /// Copy with the vaults grouped into `stacks` contiguous shard
-    /// domains. Vertex/page placement is untouched, so outputs and
-    /// traces are identical for every stack count; only the engine's
-    /// nested parallel structure changes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `stacks` is zero.
-    #[must_use]
-    pub fn with_stacks(mut self, stacks: u32) -> Self {
-        assert!(stacks > 0, "stacks must be nonzero");
-        self.stacks = stacks;
-        self
     }
 
     /// Number of vaults.
     pub fn vaults(&self) -> u32 {
         self.vaults
-    }
-
-    /// Number of stack shard domains (1 unless [`Self::with_stacks`]).
-    pub fn stacks(&self) -> u32 {
-        self.stacks
-    }
-
-    /// The stack owning vault `vault` (contiguous blocks of
-    /// `ceil(vaults/stacks)` vaults per stack).
-    pub fn stack_of(&self, vault: u32) -> u32 {
-        vault / self.vaults.div_ceil(self.stacks)
     }
 
     /// The vault owning vertex `v`.
@@ -196,31 +163,6 @@ mod tests {
     #[should_panic(expected = "vaults must be nonzero")]
     fn zero_vaults_rejected() {
         let _ = VertexPartition::new(0, 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "stacks must be nonzero")]
-    fn zero_stacks_rejected() {
-        let _ = VertexPartition::hashed(32).with_stacks(0);
-    }
-
-    #[test]
-    fn stacks_partition_vaults_contiguously() {
-        let p = VertexPartition::hashed(512).with_stacks(16);
-        assert_eq!(p.stacks(), 16);
-        assert_eq!(p.stack_of(0), 0);
-        assert_eq!(p.stack_of(31), 0);
-        assert_eq!(p.stack_of(32), 1);
-        assert_eq!(p.stack_of(511), 15);
-        // Stack annotation never moves a vertex.
-        let flat = VertexPartition::hashed(512);
-        for v in 0..1000 {
-            assert_eq!(p.vault_of(v), flat.vault_of(v));
-        }
-        // Uneven split: the last stack is smaller, every vault is owned.
-        let uneven = VertexPartition::hashed(10).with_stacks(4);
-        let owners: Vec<u32> = (0..10).map(|v| uneven.stack_of(v)).collect();
-        assert_eq!(owners, [0, 0, 0, 1, 1, 1, 2, 2, 2, 3]);
     }
 
     #[test]

@@ -43,10 +43,9 @@ pub struct TesseractSim {
 
 impl TesseractSim {
     /// Creates a simulator; vertices are hash-partitioned over the
-    /// configured vault count, with vault groups sharded across the
-    /// configured stack count.
+    /// configured vault count.
     pub fn new(config: TesseractConfig) -> Self {
-        let partition = VertexPartition::hashed(config.stack.vaults).with_stacks(config.stacks);
+        let partition = VertexPartition::hashed(config.stack.vaults);
         TesseractSim { config, partition }
     }
 
