@@ -17,7 +17,6 @@ use pim_dram::{
 use pim_energy::{DramEnergyModel, EnergyBreakdown};
 use pim_workloads::{BitVec, BitwisePlan, BulkOp, PlanStep, Reg};
 use std::fmt;
-use std::sync::Mutex;
 
 /// Configuration for an [`AmbitSystem`].
 #[derive(Debug, Clone)]
@@ -446,37 +445,32 @@ fn run_bank_groups(
     seed: u64,
 ) -> Result<(Cycle, u64, Vec<Cycle>)> {
     use rayon::prelude::*;
-    // Each worker forks its own shards under the lock. A fork copies the
-    // device's timing tree; made on the calling thread, those copies
-    // interleaved with the row arenas on its heap and bimodally inflated
-    // peak RSS on a 256-bank device.
-    let parent = Mutex::new(&mut *device);
+    // The rows move out here; each worker builds its shards from the
+    // borrowed source, so the shards' timing-tree copies land on worker
+    // heaps rather than interleaving with row arenas on the caller's
+    // (which bimodally inflated peak RSS on a 256-bank device).
+    let banks: Vec<BankId> = pairs.iter().map(|&(b, _)| b).collect();
+    let (source, rows) = device.fork_banks(&banks)?;
+    let work: Vec<_> = pairs.into_iter().zip(rows).collect();
     // Per-bank outcome: the shard, then (end cycle, faults, chunk ends) or
     // the error that stopped it.
-    type ShardRun = (BankId, Option<Device>, Result<(Cycle, u64, Vec<Cycle>)>);
-    let results: Vec<ShardRun> = pairs
+    type ShardRun = (BankId, Device, Result<(Cycle, u64, Vec<Cycle>)>);
+    let results: Vec<ShardRun> = work
         .into_par_iter()
-        .map(|(b, group)| {
-            let fork = parent.lock().expect("no fork panics").fork_bank(b);
-            let mut dev = match fork {
-                Ok(dev) => dev,
-                Err(e) => return (b, None, Err(e.into())),
-            };
+        .map(|((b, group), rows)| {
+            let mut dev = source.shard(rows);
             let mut scratch = RunScratch::default();
             let res = run_sites(&mut dev, &group, start, n_chunks, rate, seed, &mut scratch)
                 .map(|(end, faults)| (end, faults, scratch.chunk_time));
-            (b, Some(dev), res)
+            (b, dev, res)
         })
         .collect();
-    let device = parent.into_inner().expect("no fork panics");
     let mut chunk_time = vec![start; n_chunks];
     let mut end = start;
     let mut faults = 0u64;
     let mut first_err = None;
     for (b, shard, res) in results {
-        if let Some(shard) = shard {
-            device.join_bank(b, shard)?;
-        }
+        device.join_bank(b, shard)?;
         match res {
             Ok((e, f, ct)) => {
                 end = end.max(e);

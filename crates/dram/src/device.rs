@@ -9,7 +9,7 @@
 
 use crate::bank::{Bank, BankState};
 use crate::command::{Command, CommandCounts, CommandKind};
-use crate::data::DataStore;
+use crate::data::{BankRows, DataStore};
 use crate::error::{DramError, Result};
 use crate::spec::DramSpec;
 use crate::trace::{Observer, Projection};
@@ -822,20 +822,37 @@ impl Device {
     ///
     /// Returns [`DramError::AddressOutOfRange`] if `bank` does not exist.
     pub fn fork_bank(&mut self, bank: BankId) -> Result<Device> {
-        self.check_bank_id(bank)?;
-        let mut store = DataStore::new(self.spec.org.row_bytes());
-        if let Some(arena) = self.store.take_bank(bank) {
-            store.insert_bank(arena);
+        let (source, mut rows) = self.fork_banks(&[bank])?;
+        Ok(source.shard(rows.pop().flatten()))
+    }
+
+    /// [`Device::fork_bank`] for several banks at once, in two steps so
+    /// the shards can be built on worker threads: this call moves each
+    /// bank's rows out (`None` for a bank never written), in `banks`
+    /// order, and [`ShardSource::shard`] builds the shard that owns them.
+    /// The source only reads this device, so any number of threads can
+    /// build shards from it at once, each shard's copy of the timing
+    /// state landing on the heap of the thread that replays it.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DramError::AddressOutOfRange`] if any bank does not
+    /// exist; no rows are moved then.
+    pub fn fork_banks(
+        &mut self,
+        banks: &[BankId],
+    ) -> Result<(ShardSource<'_>, Vec<Option<BankRows>>)> {
+        for &b in banks {
+            self.check_bank_id(b)?;
         }
-        Ok(Device {
-            spec: self.spec.clone(),
-            channels: self.channels.clone(),
-            store,
-            counts: CommandCounts::new(),
-            observer: self.observer.as_ref().map(Observer::fork),
+        let rows = banks.iter().map(|&b| self.store.take_bank(b)).collect();
+        let source = ShardSource {
+            spec: &self.spec,
+            channels: &self.channels,
+            observer: self.observer.as_ref(),
             batch_runs: self.batch_runs,
-            batched_commands: 0,
-        })
+        };
+        Ok((source, rows))
     }
 
     /// Reabsorbs a shard produced by [`Device::fork_bank`]: `bank`'s timing
@@ -858,6 +875,38 @@ impl Device {
             mine.absorb(theirs);
         }
         Ok(())
+    }
+}
+
+/// A device's timing state and observer settings, borrowed read-only so
+/// bank shards can be built from it on several threads at once. Obtained
+/// from [`Device::fork_banks`].
+#[derive(Debug)]
+pub struct ShardSource<'a> {
+    spec: &'a DramSpec,
+    channels: &'a [ChannelTiming],
+    observer: Option<&'a Observer>,
+    batch_runs: bool,
+}
+
+impl ShardSource<'_> {
+    /// Builds a shard that owns `rows` (one bank's, as returned by
+    /// [`Device::fork_banks`]) and a copy of the timing state, with fresh
+    /// counts and an empty fork of the observer; see [`Device::fork_bank`].
+    pub fn shard(&self, rows: Option<BankRows>) -> Device {
+        let mut store = DataStore::new(self.spec.org.row_bytes());
+        if let Some(arena) = rows {
+            store.insert_bank(arena);
+        }
+        Device {
+            spec: self.spec.clone(),
+            channels: self.channels.to_vec(),
+            store,
+            counts: CommandCounts::new(),
+            observer: self.observer.map(Observer::fork),
+            batch_runs: self.batch_runs,
+            batched_commands: 0,
+        }
     }
 }
 
@@ -1434,6 +1483,42 @@ mod tests {
     fn fork_bank_rejects_bad_bank() {
         let mut d = dev();
         assert!(d.fork_bank(BankId::new(9, 0, 0)).is_err());
+    }
+
+    #[test]
+    fn fork_banks_builds_shards_on_other_threads() {
+        let mut d = dev();
+        let banks = [BankId::new(0, 0, 0), BankId::new(0, 0, 1)];
+        for (i, b) in banks.iter().enumerate() {
+            d.store_mut().write_word(b.row(1), 0, 0xB0 + i as u64);
+        }
+        // A bad bank anywhere in the list moves no rows.
+        assert!(d.fork_banks(&[banks[0], BankId::new(9, 0, 0)]).is_err());
+        assert_eq!(d.store().read_word(banks[0].row(1), 0), 0xB0);
+        let (source, rows) = d.fork_banks(&banks).unwrap();
+        let shards: Vec<Device> = std::thread::scope(|s| {
+            let handles: Vec<_> = banks
+                .iter()
+                .zip(rows)
+                .map(|(&b, rows)| {
+                    let source = &source;
+                    s.spawn(move || {
+                        let mut shard = source.shard(rows);
+                        shard.issue_earliest(Command::Ap(b.row(1)), 0).unwrap();
+                        shard
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert_eq!(d.store().read_word(banks[0].row(1), 0), 0, "rows moved out");
+        for (&b, shard) in banks.iter().zip(shards) {
+            d.join_bank(b, shard).unwrap();
+        }
+        for (i, b) in banks.iter().enumerate() {
+            assert_eq!(d.store().read_word(b.row(1), 0), 0xB0 + i as u64);
+        }
+        assert_eq!(d.counts().count(CommandKind::Ap), 2);
     }
 
     #[test]

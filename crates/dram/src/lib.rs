@@ -57,7 +57,7 @@ pub use bank::BankState;
 pub use command::{Command, CommandCounts, CommandKind};
 pub use controller::{Completion, Controller, ReqId, Request, RowPolicy};
 pub use data::{BankRows, DataStore};
-pub use device::{Device, IssueOutcome};
+pub use device::{Device, IssueOutcome, ShardSource};
 pub use error::{DramError, Result};
 pub use hammer::HammerMonitor;
 pub use mapping::AddressMapping;
