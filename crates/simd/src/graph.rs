@@ -131,6 +131,11 @@ impl OpGraph {
     /// graph input `i`; all inputs must have the same lane count. Returns
     /// one value vector per declared output.
     ///
+    /// Lanes are evaluated 2048 at a time, so every node's
+    /// buffer is one block long and the working set stays in cache
+    /// however many lanes there are; lanes are independent, so the
+    /// result is the same as a whole-column evaluation.
+    ///
     /// This interpreter never looks at the MAJ/NOT lowering — it is the
     /// independent oracle the differential tests check compiled programs
     /// against.
@@ -145,62 +150,78 @@ impl OpGraph {
         for (i, v) in inputs.iter().enumerate() {
             assert_eq!(v.len(), lanes, "input {i} lane count");
             let mask = width_mask(self.input_widths[i]);
-            for &x in v.iter() {
+            if let Some(&x) = v.iter().find(|&&x| x & !mask != 0) {
                 assert_eq!(x & mask, x, "input {i} value exceeds its width");
             }
         }
-        let mut values: Vec<Vec<u64>> = Vec::with_capacity(self.nodes.len());
-        for node in &self.nodes {
-            let mask = width_mask(node.width);
-            let v: Vec<u64> = match node.op {
-                GraphOp::Input { index } => inputs[index as usize].to_vec(),
-                GraphOp::Const { value } => vec![value & mask; lanes],
-                GraphOp::Add(a, b) => zip(&values, a, b, |x, y| x.wrapping_add(y) & mask),
-                GraphOp::Sub(a, b) => zip(&values, a, b, |x, y| x.wrapping_sub(y) & mask),
-                GraphOp::Mul(a, b) => zip(&values, a, b, |x, y| x.wrapping_mul(y) & mask),
-                GraphOp::And(a, b) => zip(&values, a, b, |x, y| x & y),
-                GraphOp::Or(a, b) => zip(&values, a, b, |x, y| x | y),
-                GraphOp::Xor(a, b) => zip(&values, a, b, |x, y| x ^ y),
-                GraphOp::Not(a) => values[a.0 as usize].iter().map(|&x| !x & mask).collect(),
-                GraphOp::Shl(a, k) => values[a.0 as usize]
-                    .iter()
-                    .map(|&x| (x << k) & mask)
-                    .collect(),
-                GraphOp::Shr(a, k) => values[a.0 as usize].iter().map(|&x| x >> k).collect(),
-                GraphOp::Lt(a, b) => zip(&values, a, b, |x, y| u64::from(x < y)),
-                GraphOp::Eq(a, b) => zip(&values, a, b, |x, y| u64::from(x == y)),
-                GraphOp::ReduceAnd(a) => {
-                    let m = width_mask(self.nodes[a.0 as usize].width);
-                    values[a.0 as usize]
-                        .iter()
-                        .map(|&x| u64::from(x == m))
-                        .collect()
-                }
-                GraphOp::ReduceOr(a) => values[a.0 as usize]
-                    .iter()
-                    .map(|&x| u64::from(x != 0))
-                    .collect(),
-                GraphOp::ReduceXor(a) => values[a.0 as usize]
-                    .iter()
-                    .map(|&x| (x.count_ones() as u64) & 1)
-                    .collect(),
-                GraphOp::Extend(a) => values[a.0 as usize].clone(),
-            };
-            values.push(v);
-        }
-        self.outputs
+        let mut outs: Vec<Vec<u64>> = self
+            .outputs
             .iter()
-            .map(|&n| values[n.0 as usize].clone())
-            .collect()
+            .map(|_| Vec::with_capacity(lanes))
+            .collect();
+        // One block-long buffer per node, reused by every block.
+        let stride = LANE_BLOCK.min(lanes);
+        let mut values = vec![0u64; self.nodes.len() * stride];
+        for lo in (0..lanes).step_by(LANE_BLOCK) {
+            let n = stride.min(lanes - lo);
+            for (i, node) in self.nodes.iter().enumerate() {
+                let (done, rest) = values.split_at_mut(i * stride);
+                let out = &mut rest[..n];
+                let arg = |a: NodeId| &done[a.0 as usize * stride..][..n];
+                let mask = width_mask(node.width);
+                match node.op {
+                    GraphOp::Input { index } => {
+                        out.copy_from_slice(&inputs[index as usize][lo..lo + n]);
+                    }
+                    GraphOp::Const { value } => out.fill(value & mask),
+                    GraphOp::Add(a, b) => {
+                        map2(out, arg(a), arg(b), |x, y| x.wrapping_add(y) & mask)
+                    }
+                    GraphOp::Sub(a, b) => {
+                        map2(out, arg(a), arg(b), |x, y| x.wrapping_sub(y) & mask)
+                    }
+                    GraphOp::Mul(a, b) => {
+                        map2(out, arg(a), arg(b), |x, y| x.wrapping_mul(y) & mask)
+                    }
+                    GraphOp::And(a, b) => map2(out, arg(a), arg(b), |x, y| x & y),
+                    GraphOp::Or(a, b) => map2(out, arg(a), arg(b), |x, y| x | y),
+                    GraphOp::Xor(a, b) => map2(out, arg(a), arg(b), |x, y| x ^ y),
+                    GraphOp::Not(a) => map1(out, arg(a), |x| !x & mask),
+                    GraphOp::Shl(a, k) => map1(out, arg(a), |x| (x << k) & mask),
+                    GraphOp::Shr(a, k) => map1(out, arg(a), |x| x >> k),
+                    GraphOp::Lt(a, b) => map2(out, arg(a), arg(b), |x, y| u64::from(x < y)),
+                    GraphOp::Eq(a, b) => map2(out, arg(a), arg(b), |x, y| u64::from(x == y)),
+                    GraphOp::ReduceAnd(a) => {
+                        let m = width_mask(self.nodes[a.0 as usize].width);
+                        map1(out, arg(a), |x| u64::from(x == m));
+                    }
+                    GraphOp::ReduceOr(a) => map1(out, arg(a), |x| u64::from(x != 0)),
+                    GraphOp::ReduceXor(a) => map1(out, arg(a), |x| (x.count_ones() as u64) & 1),
+                    GraphOp::Extend(a) => out.copy_from_slice(arg(a)),
+                }
+            }
+            for (out, &id) in outs.iter_mut().zip(&self.outputs) {
+                out.extend_from_slice(&values[id.0 as usize * stride..][..n]);
+            }
+        }
+        outs
     }
 }
 
-fn zip(values: &[Vec<u64>], a: NodeId, b: NodeId, f: impl Fn(u64, u64) -> u64) -> Vec<u64> {
-    values[a.0 as usize]
-        .iter()
-        .zip(values[b.0 as usize].iter())
-        .map(|(&x, &y)| f(x, y))
-        .collect()
+/// Lanes per block of [`OpGraph::eval_reference`]: a 16 KiB buffer per
+/// node.
+pub(crate) const LANE_BLOCK: usize = 2048;
+
+fn map1(out: &mut [u64], a: &[u64], f: impl Fn(u64) -> u64) {
+    for (o, &x) in out.iter_mut().zip(a) {
+        *o = f(x);
+    }
+}
+
+fn map2(out: &mut [u64], a: &[u64], b: &[u64], f: impl Fn(u64, u64) -> u64) {
+    for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
+        *o = f(x, y);
+    }
 }
 
 /// All-ones mask for a `width`-bit lane.
@@ -438,6 +459,68 @@ mod tests {
         assert_eq!(out[1], vec![1, 0, 0]);
         assert_eq!(out[2], vec![1, 0, 1]);
         assert_eq!(out[3], vec![0, 0, 0]);
+    }
+
+    /// A graph that uses every [`GraphOp`], over two 12-bit inputs.
+    fn every_op_graph() -> OpGraph {
+        let mut g = OpGraph::builder();
+        let a = g.input(12);
+        let b = g.input(12);
+        let c = g.constant(0x5a5, 12);
+        let s = g.add(a, c);
+        let d = g.sub(s, b);
+        let p = g.mul(d, b);
+        let x = g.and(a, b);
+        let x = g.or(x, c);
+        let x = g.xor(x, d);
+        let n = g.not(x);
+        let l = g.shl(n, 3);
+        let r = g.shr(l, 5);
+        let lt = g.lt(a, r);
+        let eq = g.eq(x, b);
+        let ra = g.reduce_and(n);
+        let ro = g.reduce_or(r);
+        let rx = g.reduce_xor(p);
+        let e = g.extend(r, 24);
+        for out in [p, lt, eq, ra, ro, rx, e, r] {
+            g.output(out);
+        }
+        g.finish()
+    }
+
+    #[test]
+    fn blocked_evaluation_equals_lane_by_lane() {
+        let g = every_op_graph();
+        let b = LANE_BLOCK;
+        for lanes in [0, 1, b - 1, b, b + 1, 2 * b + 3] {
+            let av: Vec<u64> = (0..lanes as u64)
+                .map(|i| (i * 2_654_435_761) >> 7 & 0xfff)
+                .collect();
+            let bv: Vec<u64> = (0..lanes as u64)
+                .map(|i| (i * 40_503 + 17) & 0xfff)
+                .collect();
+            let got = g.eval_reference(&[&av, &bv]);
+            assert_eq!(got.len(), 8, "one vector per output at {lanes} lanes");
+            let mut want = vec![Vec::new(); 8];
+            for i in 0..lanes {
+                let one = g.eval_reference(&[&av[i..=i], &bv[i..=i]]);
+                for (w, o) in want.iter_mut().zip(one) {
+                    w.extend(o);
+                }
+            }
+            assert_eq!(got, want, "{lanes} lanes");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "input 1 value exceeds its width")]
+    fn over_width_input_in_a_later_block_panics() {
+        let g = every_op_graph();
+        let lanes = 2 * LANE_BLOCK + 3;
+        let av = vec![1u64; lanes];
+        let mut bv = vec![2u64; lanes];
+        bv[LANE_BLOCK + 5] = 0x1000;
+        let _ = g.eval_reference(&[&av, &bv]);
     }
 
     #[test]

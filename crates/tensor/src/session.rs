@@ -177,17 +177,13 @@ impl TensorSession {
 
     /// Evaluates a mask to its lane truth values.
     pub fn eval_mask(&mut self, m: &PimMask) -> Result<Vec<bool>> {
-        Ok(self
-            .eval_raw(&m.expr, m.len)?
-            .into_iter()
-            .map(|v| v != 0)
-            .collect())
+        Ok(self.run_root(&m.expr, m.len)?.to_bools())
     }
 
     /// Number of set lanes in a mask (the mask computes in DRAM; the
-    /// popcount is a host gather over the 1-bit result).
+    /// popcount runs on the host over the 1-bit result plane).
     pub fn count_ones(&mut self, m: &PimMask) -> Result<u64> {
-        Ok(self.eval_raw(&m.expr, m.len)?.iter().sum())
+        Ok(self.run_root(&m.expr, m.len)?.count_ones())
     }
 
     /// Sum of every lane, exact: lanes widen to 64 bits, then tree-halve
@@ -224,7 +220,7 @@ impl TensorSession {
 
     /// Histogram of `t` over `bins` equal ranges (`bins` a power of two,
     /// at most 256). All range masks fuse into one multi-output program;
-    /// counting the 1-bit masks is a host gather.
+    /// counting the 1-bit masks is a host popcount over their planes.
     pub fn histogram(&mut self, t: &PimTensor<u8>, bins: usize) -> Result<Vec<u64>> {
         assert!(
             bins.is_power_of_two() && (1..=256).contains(&bins),
@@ -240,15 +236,20 @@ impl TensorSession {
             })
             .collect();
         let per_bin = self.run_roots(&roots, t.len())?;
-        Ok(per_bin.iter().map(|m| m.iter().sum()).collect())
+        Ok(per_bin.iter().map(Gathered::count_ones).collect())
     }
 
     /// Evaluates one root expression to raw `u64` lanes.
     fn eval_raw(&mut self, expr: &ExprRef, lanes: usize) -> Result<Vec<u64>> {
+        Ok(self.run_root(expr, lanes)?.to_values())
+    }
+
+    /// Plans and executes one root expression.
+    fn run_root(&mut self, expr: &ExprRef, lanes: usize) -> Result<Gathered> {
         Ok(self
             .run_roots(std::slice::from_ref(expr), lanes)?
             .pop()
-            .unwrap())
+            .expect("one root gathers one result"))
     }
 
     /// In-DRAM tree reduction over raw 64-bit lanes: split, pad with the
@@ -321,7 +322,7 @@ impl TensorSession {
 
     /// Plans and executes a multi-root computation: fuse → stage → tile
     /// → submit → gather.
-    fn run_roots(&mut self, roots: &[ExprRef], lanes: usize) -> Result<Vec<Vec<u64>>> {
+    fn run_roots(&mut self, roots: &[ExprRef], lanes: usize) -> Result<Vec<Gathered>> {
         // Source-free roots (pure splat arithmetic) have no lane payload
         // to size a DRAM job with; they fold on the host.
         if let Some(consts) = roots
@@ -329,7 +330,10 @@ impl TensorSession {
             .map(|r| r.const_value())
             .collect::<Option<Vec<u64>>>()
         {
-            return Ok(consts.into_iter().map(|v| vec![v; lanes]).collect());
+            return Ok(consts
+                .into_iter()
+                .map(|value| Gathered::Splat { value, lanes })
+                .collect());
         }
 
         let plan = Plan::build(roots, self.config.scratch_budget)?;
@@ -375,7 +379,7 @@ impl TensorSession {
         // Stage-major execution: all tiles of a stage submit together
         // (one drain per stage), so independent tiles share a dispatch
         // batch and coalesce across banks/channel domains.
-        let mut inter: Vec<Vec<Vec<BitSlicedIntVec>>> = vec![Vec::new(); n_tiles];
+        let mut inter: Vec<Vec<Vec<Arc<BitSlicedIntVec>>>> = vec![Vec::new(); n_tiles];
         for (s, stage) in plan.stages.iter().enumerate() {
             let mut pending: BTreeMap<JobId, usize> = BTreeMap::new();
             let mut outputs: BTreeMap<JobId, Vec<BitSlicedIntVec>> = BTreeMap::new();
@@ -386,7 +390,7 @@ impl TensorSession {
                     .map(|b| match *b {
                         pim_simd::StageBinding::External(i) => tile_inputs[i].clone(),
                         pim_simd::StageBinding::Intermediate { stage, output } => {
-                            Arc::new(inter[t][stage][output].clone())
+                            inter[t][stage][output].clone()
                         }
                     })
                     .collect();
@@ -403,20 +407,23 @@ impl TensorSession {
                     job: "simd-program",
                 })?;
                 debug_assert_eq!(inter[t].len(), s);
-                inter[t].push(outs);
+                inter[t].push(outs.into_iter().map(Arc::new).collect());
             }
         }
 
-        // Gather: per root, concatenate its tile slices in lane order.
-        let mut gathered = Vec::with_capacity(plan.outputs.len());
-        for &(s, o) in &plan.outputs {
-            let mut vals = Vec::with_capacity(lanes);
-            for tile_stages in &inter {
-                vals.extend(tile_stages[s][o].to_values());
-            }
-            gathered.push(vals);
-        }
-        Ok(gathered)
+        // Gather: per root, its bit-sliced tile slices in lane order.
+        Ok(plan
+            .outputs
+            .iter()
+            .map(|&(s, o)| {
+                Gathered::Tiles(
+                    inter
+                        .iter()
+                        .map(|tile_stages| tile_stages[s][o].clone())
+                        .collect(),
+                )
+            })
+            .collect())
     }
 
     /// Submits one job, draining (and banking completions) to relieve
@@ -471,5 +478,57 @@ impl TensorSession {
             }
         }
         Ok(())
+    }
+}
+
+/// One root's result as evaluation left it, before any widening to
+/// `u64` lanes.
+enum Gathered {
+    /// A source-free root folded on the host: `value` on every lane.
+    Splat { value: u64, lanes: usize },
+    /// The root's bit-sliced output of every tile, in lane order.
+    Tiles(Vec<Arc<BitSlicedIntVec>>),
+}
+
+impl Gathered {
+    /// The lanes as `u64` values (transposed 64 lanes at a time).
+    fn to_values(&self) -> Vec<u64> {
+        match self {
+            Gathered::Splat { value, lanes } => vec![*value; *lanes],
+            Gathered::Tiles(tiles) => {
+                let mut out = Vec::with_capacity(tiles.iter().map(|t| t.len()).sum());
+                for t in tiles {
+                    out.extend(t.to_values());
+                }
+                out
+            }
+        }
+    }
+
+    /// The one plane of a 1-bit result.
+    fn mask_planes(tiles: &[Arc<BitSlicedIntVec>]) -> impl Iterator<Item = &pim_workloads::BitVec> {
+        tiles.iter().map(|t| {
+            assert_eq!(t.bits(), 1, "a mask has one plane");
+            &t.planes()[0]
+        })
+    }
+
+    /// A 1-bit result's lanes as truth values.
+    fn to_bools(&self) -> Vec<bool> {
+        match self {
+            Gathered::Splat { value, lanes } => vec![*value != 0; *lanes],
+            Gathered::Tiles(tiles) => Self::mask_planes(tiles)
+                .flat_map(|p| (0..p.len()).map(move |i| p.get(i)))
+                .collect(),
+        }
+    }
+
+    /// The number of set lanes of a 1-bit result: a popcount of its
+    /// planes.
+    fn count_ones(&self) -> u64 {
+        match self {
+            Gathered::Splat { value, lanes } => value * *lanes as u64,
+            Gathered::Tiles(tiles) => Self::mask_planes(tiles).map(|p| p.count_ones()).sum(),
+        }
     }
 }

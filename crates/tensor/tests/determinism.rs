@@ -148,6 +148,41 @@ fn tiled_reduction_matches_host() {
     assert_eq!(dram.min(&a()).unwrap(), *av.iter().min().unwrap() as u32);
 }
 
+/// Mask counts popcount the 1-bit tile planes without widening them:
+/// `histogram`, `count_ones` and `eval_mask` match scalar references on
+/// a ragged tiling (1,000 lanes in tiles of 384, a 232-lane last tile
+/// that ends mid-word), and a source-free mask counts on the host.
+#[test]
+fn ragged_tile_mask_counts_match_scalar() {
+    let lanes = 1000;
+    let hv = gen_lanes(lanes, 41, 8);
+    let av = gen_lanes(lanes, 42, 16);
+    let bv = gen_lanes(lanes, 43, 16);
+    let mut sess = ambit_session(384);
+
+    let h = PimTensor::<u8>::from_u64_values(hv.clone());
+    let mut want = vec![0u64; 16];
+    for &v in &hv {
+        want[(v >> 4) as usize] += 1;
+    }
+    assert_eq!(sess.histogram(&h, 16).unwrap(), want);
+
+    let a = PimTensor::<u16>::from_u64_values(av.clone());
+    let b = PimTensor::<u16>::from_u64_values(bv.clone());
+    let lt: Vec<bool> = av.iter().zip(&bv).map(|(x, y)| x < y).collect();
+    assert_eq!(sess.eval_mask(&a.lt(&b)).unwrap(), lt);
+    assert_eq!(
+        sess.count_ones(&a.lt(&b)).unwrap(),
+        lt.iter().filter(|&&x| x).count() as u64
+    );
+
+    let three = PimTensor::<u8>::splat(3, lanes);
+    let five = PimTensor::<u8>::splat(5, lanes);
+    assert_eq!(sess.count_ones(&three.lt(&five)).unwrap(), lanes as u64);
+    assert_eq!(sess.count_ones(&five.lt(&three)).unwrap(), 0);
+    assert_eq!(sess.eval_mask(&three.lt(&five)).unwrap(), vec![true; lanes]);
+}
+
 mod thread_invariance {
     use super::*;
     use pim_telemetry::TelemetrySink;

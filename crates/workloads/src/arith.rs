@@ -36,7 +36,8 @@ pub struct BitSlicedIntVec {
 }
 
 impl BitSlicedIntVec {
-    /// Slices `values` into `bits` planes (LSB first).
+    /// Slices `values` into `bits` planes (LSB first), 64 lanes at a
+    /// time through a 64×64 bit-matrix transpose.
     ///
     /// # Panics
     ///
@@ -45,20 +46,29 @@ impl BitSlicedIntVec {
     pub fn from_values(values: &[u64], bits: u32) -> Self {
         assert!((1..=64).contains(&bits), "bits must be in 1..=64");
         let limit = 1u64.checked_shl(bits).unwrap_or(0).wrapping_sub(1);
-        let planes = (0..bits)
-            .map(|p| {
-                BitVec::from_fn(values.len(), |i| {
-                    assert!(
-                        values[i] <= limit,
-                        "value {} needs more than {bits} bits",
-                        values[i]
-                    );
-                    (values[i] >> p) & 1 == 1
-                })
-            })
-            .collect();
+        if values.iter().fold(0, |acc, &v| acc | v) > limit {
+            let v = values
+                .iter()
+                .find(|&&v| v > limit)
+                .expect("a value is over");
+            panic!("value {v} needs more than {bits} bits");
+        }
+        let words = values.len().div_ceil(64);
+        let mut planes = vec![vec![0u64; words]; bits as usize];
+        let rows = bits.next_power_of_two() as usize;
+        for (w, chunk) in values.chunks(64).enumerate() {
+            let mut block = [0u64; 64];
+            block[..chunk.len()].copy_from_slice(chunk);
+            slice_block(&mut block, rows);
+            for (plane, &row) in planes.iter_mut().zip(&block) {
+                plane[w] = row;
+            }
+        }
         BitSlicedIntVec {
-            planes,
+            planes: planes
+                .into_iter()
+                .map(|words| BitVec::from_words(words, values.len()))
+                .collect(),
             bits,
             len: values.len(),
         }
@@ -110,17 +120,127 @@ impl BitSlicedIntVec {
     ///
     /// # Panics
     ///
-    /// Panics if `i >= len`.
+    /// Panics if `i >= len`, or if the vector is wider than 64 bits (a
+    /// 64-bit sum's carry plane, say), since it does not fit a `u64`.
     pub fn value(&self, i: usize) -> u64 {
+        self.assert_fits_u64();
         self.planes
             .iter()
             .enumerate()
             .fold(0u64, |acc, (p, plane)| acc | ((plane.get(i) as u64) << p))
     }
 
-    /// All elements as a vector.
+    /// All elements as a vector, 64 lanes at a time through a 64×64
+    /// bit-matrix transpose.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the vector is wider than 64 bits.
     pub fn to_values(&self) -> Vec<u64> {
+        self.assert_fits_u64();
+        let mut out = Vec::with_capacity(self.len);
+        let rows = self.bits.next_power_of_two() as usize;
+        for w in 0..self.len.div_ceil(64) {
+            let mut block = [0u64; 64];
+            for (row, plane) in block.iter_mut().zip(&self.planes) {
+                *row = plane.as_words()[w];
+            }
+            unslice_block(&mut block, rows);
+            out.extend_from_slice(&block[..(self.len - 64 * w).min(64)]);
+        }
+        out
+    }
+
+    fn assert_fits_u64(&self) {
+        assert!(
+            self.bits <= 64,
+            "a {}-bit vector does not fit u64 lanes (at most 64 bits)",
+            self.bits
+        );
+    }
+
+    /// The per-bit slicing the transpose replaces, kept as its oracle.
+    #[cfg(test)]
+    fn from_values_per_bit(values: &[u64], bits: u32) -> Self {
+        let planes = (0..bits)
+            .map(|p| BitVec::from_fn(values.len(), |i| (values[i] >> p) & 1 == 1))
+            .collect();
+        BitSlicedIntVec {
+            planes,
+            bits,
+            len: values.len(),
+        }
+    }
+
+    /// The per-lane read-back the transpose replaces, kept as its oracle.
+    #[cfg(test)]
+    fn to_values_per_bit(&self) -> Vec<u64> {
         (0..self.len).map(|i| self.value(i)).collect()
+    }
+}
+
+// A 64-lane block is a 64×64 bit matrix: as values, row `i` is lane
+// `i`; as planes, row `p` is bit `p` of every lane. Transposing swaps
+// each row-index bit with the matching column-index bit, one round per
+// bit level (Hacker's Delight §7-3). The rounds commute, and a value
+// under `2^rows` (`rows` a power of two) leaves every round at a
+// distance of `rows` or more moving only zeros, so those rounds shrink
+// to shifts and only the `rows`×`rows` corner takes full swaps.
+
+/// `MASKS[b]` keeps the columns whose index has bit `b` clear.
+const MASKS: [u64; 6] = [
+    0x5555_5555_5555_5555,
+    0x3333_3333_3333_3333,
+    0x0f0f_0f0f_0f0f_0f0f,
+    0x00ff_00ff_00ff_00ff,
+    0x0000_ffff_0000_ffff,
+    0x0000_0000_ffff_ffff,
+];
+
+/// One full transpose round at distance `j`: swaps the off-diagonal
+/// `j`×`j` blocks of every diagonal `2j`×`2j` block of `a`.
+fn swap_round(a: &mut [u64], j: usize) {
+    let m = MASKS[j.trailing_zeros() as usize];
+    let mut k = 0;
+    while k < a.len() {
+        let t = ((a[k] >> j) ^ a[k + j]) & m;
+        a[k] ^= t << j;
+        a[k + j] ^= t;
+        k = (k + j + 1) & !j;
+    }
+}
+
+/// Transposes 64 lane values, each under `2^rows`, into their `rows`
+/// low planes `a[..rows]`; the other rows are left unspecified.
+fn slice_block(a: &mut [u64; 64], rows: usize) {
+    let mut j = 32;
+    while j >= rows {
+        for k in 0..j {
+            a[k] |= a[k + j] << j;
+        }
+        j /= 2;
+    }
+    while j > 0 {
+        swap_round(&mut a[..rows], j);
+        j /= 2;
+    }
+}
+
+/// The inverse of [`slice_block`]: transposes `rows` planes `a[..rows]`
+/// (the other rows are ignored) into 64 lane values.
+fn unslice_block(a: &mut [u64; 64], rows: usize) {
+    let mut j = 1;
+    while j < rows {
+        swap_round(&mut a[..rows], j);
+        j *= 2;
+    }
+    while j < 64 {
+        let m = MASKS[j.trailing_zeros() as usize];
+        for k in 0..j {
+            a[k + j] = (a[k] >> j) & m;
+            a[k] &= m;
+        }
+        j *= 2;
     }
 }
 
@@ -321,7 +441,7 @@ pub fn add(a: &BitSlicedIntVec, b: &BitSlicedIntVec) -> BitSlicedIntVec {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn slicing_roundtrips() {
@@ -331,6 +451,22 @@ mod tests {
         assert_eq!(v.len(), 7);
         assert!(!v.is_empty());
         assert_eq!(v.to_values(), vals);
+    }
+
+    #[test]
+    #[should_panic(expected = "a 65-bit vector does not fit u64 lanes")]
+    fn wide_sum_refuses_to_read_back() {
+        let a = BitSlicedIntVec::from_values(&[u64::MAX], 64);
+        let b = BitSlicedIntVec::from_values(&[1], 64);
+        let _ = add(&a, &b).to_values();
+    }
+
+    #[test]
+    #[should_panic(expected = "value 16 needs more than 4 bits")]
+    fn out_of_range_value_past_the_first_block_is_rejected() {
+        let mut vals = vec![3u64; 130];
+        vals[100] = 16;
+        let _ = BitSlicedIntVec::from_values(&vals, 4);
     }
 
     #[test]
@@ -425,6 +561,27 @@ mod tests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The word-level transpose equals the per-bit oracle in both
+        /// directions, at every width and at ragged lane counts.
+        #[test]
+        fn transpose_matches_per_bit_oracle(
+            lanes in prop_oneof![
+                Just(0usize), Just(1), Just(63), Just(64), Just(65), 100usize..400
+            ],
+            seed in any::<u64>(),
+        ) {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            for bits in 1..=64u32 {
+                let mask = 1u64.checked_shl(bits).unwrap_or(0).wrapping_sub(1);
+                let vals: Vec<u64> = (0..lanes).map(|_| rng.gen::<u64>() & mask).collect();
+                let fast = BitSlicedIntVec::from_values(&vals, bits);
+                let slow = BitSlicedIntVec::from_values_per_bit(&vals, bits);
+                prop_assert_eq!(&fast, &slow, "slicing at {} bits", bits);
+                prop_assert_eq!(slow.to_values(), slow.to_values_per_bit());
+                prop_assert_eq!(fast.to_values(), vals);
+            }
+        }
 
         /// The bit-sliced adder equals scalar addition for arbitrary
         /// values and widths.
