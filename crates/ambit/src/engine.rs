@@ -210,15 +210,14 @@ pub struct AmbitSystem {
     /// Monotonic counter of fault *sites* (row-program instruction slots)
     /// consumed so far. Each TRA derives its fault RNG from
     /// `(fault_seed, site, chunk)`, so the injected fault pattern is a pure
-    /// function of program position — identical whether chunks execute
-    /// sequentially or bank-parallel.
+    /// function of program position, not of issue order.
     fault_epoch: u64,
     faults_injected: u64,
     /// Reusable site-list buffer: every operation builds its command replay
     /// list here, so steady-state execution performs no per-op allocation.
     site_buf: Vec<SiteCmd>,
     /// Reusable replay buffers (per-chunk dependency times + batched-issue
-    /// arrays) for sequential replay; shards use stack-local scratch.
+    /// arrays) for the site replay.
     run_buf: RunScratch,
 }
 
@@ -248,8 +247,8 @@ impl FaultRows {
 
 /// One command bound for a specific chunk's timing chain, tagged with the
 /// fault-injection identity of its instruction slot. Building a full site
-/// list up front lets [`AmbitSystem::run_banked`] replay it either on the
-/// main device (sequentially, in construction order) or sharded per bank.
+/// list up front lets [`AmbitSystem::run_banked`] replay it on the device
+/// in construction order, batching homogeneous runs.
 #[derive(Debug, Clone, Copy)]
 struct SiteCmd {
     /// Fault-site index (monotonic across the system's lifetime).
@@ -285,7 +284,7 @@ fn bank_free_set(table: &mut Vec<(BankId, Cycle)>, bank: BankId, t: Cycle) {
 
 /// Derives the per-site fault RNG from `(seed, site, chunk)` with a
 /// SplitMix64-style mix, so every TRA slot owns an independent stream
-/// regardless of execution order or thread count.
+/// regardless of execution order.
 fn fault_site_rng(seed: u64, site: u64, chunk: u64) -> rand::rngs::StdRng {
     use rand::SeedableRng;
     let mut z =
@@ -330,8 +329,8 @@ fn inject_tra_faults(
 
 /// Reusable replay buffers: the per-chunk dependency-time table plus the
 /// command/dependency arrays handed to [`Device::issue_run`] and its
-/// completion-cycle output. Owned by the system (sequential replay) or
-/// stack-local per shard, so steady-state execution stays allocation-free.
+/// completion-cycle output. Owned by the system, so steady-state
+/// execution stays allocation-free.
 #[derive(Debug, Clone, Default)]
 struct RunScratch {
     chunk_time: Vec<Cycle>,
@@ -427,69 +426,6 @@ fn run_sites(
     Ok((end, faults))
 }
 
-/// A bank's replay worklist: the sites that touch it, in program order.
-type BankGroups = Vec<(BankId, Vec<SiteCmd>)>;
-
-/// Forks one shard per `(bank, sites)` pair off the device, replays each
-/// group under a rayon scope, and joins shards back in first-appearance
-/// bank order. Every forked shard is joined, errored or not, so the rows
-/// of a failing bank (and of every bank after it) stay observable; the
-/// first error is returned after the joins. Returns the last completion
-/// cycle, faults injected, and the max-merged per-chunk completion times.
-fn run_bank_groups(
-    device: &mut Device,
-    pairs: BankGroups,
-    start: Cycle,
-    n_chunks: usize,
-    rate: f64,
-    seed: u64,
-) -> Result<(Cycle, u64, Vec<Cycle>)> {
-    use rayon::prelude::*;
-    // The rows move out here; each worker builds its shards from the
-    // borrowed source, so the shards' timing-tree copies land on worker
-    // heaps rather than interleaving with row arenas on the caller's
-    // (which bimodally inflated peak RSS on a 256-bank device).
-    let banks: Vec<BankId> = pairs.iter().map(|&(b, _)| b).collect();
-    let (source, rows) = device.fork_banks(&banks)?;
-    let work: Vec<_> = pairs.into_iter().zip(rows).collect();
-    // Per-bank outcome: the shard, then (end cycle, faults, chunk ends) or
-    // the error that stopped it.
-    type ShardRun = (BankId, Device, Result<(Cycle, u64, Vec<Cycle>)>);
-    let results: Vec<ShardRun> = work
-        .into_par_iter()
-        .map(|((b, group), rows)| {
-            let mut dev = source.shard(rows);
-            let mut scratch = RunScratch::default();
-            let res = run_sites(&mut dev, &group, start, n_chunks, rate, seed, &mut scratch)
-                .map(|(end, faults)| (end, faults, scratch.chunk_time));
-            (b, dev, res)
-        })
-        .collect();
-    let mut chunk_time = vec![start; n_chunks];
-    let mut end = start;
-    let mut faults = 0u64;
-    let mut first_err = None;
-    for (b, shard, res) in results {
-        device.join_bank(b, shard)?;
-        match res {
-            Ok((e, f, ct)) => {
-                end = end.max(e);
-                faults += f;
-                for (merged, t) in chunk_time.iter_mut().zip(ct) {
-                    *merged = (*merged).max(t);
-                }
-            }
-            Err(e) => {
-                first_err.get_or_insert(e);
-            }
-        }
-    }
-    match first_err {
-        Some(e) => Err(e),
-        None => Ok((end, faults, chunk_time)),
-    }
-}
-
 impl AmbitSystem {
     /// Creates an engine over a fresh device; control rows (`C0`/`C1`) are
     /// initialized in every subarray.
@@ -520,16 +456,12 @@ impl AmbitSystem {
         self.faults_injected
     }
 
-    /// Executes a site list: sequentially on the main device, or — with more
-    /// than one worker thread and a `faw_exempt` timing model — sharded per
-    /// bank via [`Device::fork_bank`]. The two paths produce identical data,
-    /// command counts, timing, and fault patterns: PIM row ops are
-    /// bank-local in the exempt timing model, and each site's fault RNG
-    /// depends only on `(fault_seed, site, chunk)`.
+    /// Executes a site list on the device, in construction order, with
+    /// [`run_sites`]. Bank-level parallelism lives on the simulated clock:
+    /// each chunk's dependency chain starts at `start`, so chunks in
+    /// different banks overlap in modeled time while the host replays
+    /// them one after another.
     fn run_banked(&mut self, sites: &[SiteCmd], start: Cycle, n_chunks: usize) -> Result<Cycle> {
-        // Engine-level telemetry is recorded here, on the parent device
-        // and before any bank sharding, so sequential and parallel runs
-        // observe identical streams in identical order.
         if let Some(tel) = self.device.observer_mut().and_then(Observer::telemetry) {
             tel.count("ambit.ops", 0, 1);
             tel.count("ambit.sites", 0, sites.len() as u64);
@@ -540,64 +472,17 @@ impl AmbitSystem {
                 n_chunks as u64,
             );
         }
-        if let Some(end) = self.run_banked_parallel(sites, start, n_chunks)? {
-            return Ok(end);
-        }
-        let mut scratch = std::mem::take(&mut self.run_buf);
-        let res = run_sites(
+        let (end, faults) = run_sites(
             &mut self.device,
             sites,
             start,
             n_chunks,
             self.tra_failure_rate,
             self.fault_seed,
-            &mut scratch,
-        );
-        self.run_buf = scratch;
-        let (end, faults) = res?;
+            &mut self.run_buf,
+        )?;
         self.faults_injected += faults;
         Ok(end)
-    }
-
-    /// Sharded execution: one shard per touched bank, forked straight off
-    /// the device whatever the channel count. Returns `None` when
-    /// parallelism cannot help: a single worker thread, a non-exempt
-    /// timing model (PIM ops couple banks through rank tRRD/tFAW state), or
-    /// all sites landing in one bank. `sites` is only read — `SiteCmd` is
-    /// `Copy`, so partitioning copies sites into per-bank groups without
-    /// disturbing the caller's reusable buffer.
-    fn run_banked_parallel(
-        &mut self,
-        sites: &[SiteCmd],
-        start: Cycle,
-        n_chunks: usize,
-    ) -> Result<Option<Cycle>> {
-        if !self.device.spec().pim.faw_exempt || rayon::current_num_threads() <= 1 {
-            return Ok(None);
-        }
-        // Partition by bank, preserving per-bank site order.
-        let mut pairs: BankGroups = Vec::new();
-        for &s in sites {
-            let b = s.cmd.bank().expect("the engine issues bank-local commands");
-            match pairs.iter_mut().find(|(x, _)| *x == b) {
-                Some((_, group)) => group.push(s),
-                None => pairs.push((b, vec![s])),
-            }
-        }
-        if pairs.len() <= 1 {
-            return Ok(None);
-        }
-        let (end, faults, chunk_time) = run_bank_groups(
-            &mut self.device,
-            pairs,
-            start,
-            n_chunks,
-            self.tra_failure_rate,
-            self.fault_seed,
-        )?;
-        self.run_buf.chunk_time = chunk_time;
-        self.faults_injected += faults;
-        Ok(Some(end))
     }
 
     /// Fault rows for `cmd`, when fault injection is on: every row a TRA
@@ -658,8 +543,7 @@ impl AmbitSystem {
     /// [`AmbitSystem::copy`], [`AmbitSystem::fill`],
     /// [`AmbitSystem::execute_row_program`]): entry `c` is the
     /// cycle chunk `c`'s dependency chain finished (the operation's start
-    /// cycle for untouched chunks). Identical on the sequential and
-    /// bank-sharded paths. `pim-runtime` uses this to price each job of a
+    /// cycle for untouched chunks). `pim-runtime` uses this to price each job of a
     /// coalesced dispatch as if it had run alone. Not updated by the
     /// analytic copy paths (`copy_psm` / `copy_lisa`).
     pub fn last_chunk_ends(&self) -> &[Cycle] {
@@ -688,20 +572,15 @@ impl AmbitSystem {
 
     /// Commands issued through the batched-run fast path so far — the
     /// runtime's coalescing tests assert this advances when coalesced
-    /// jobs execute.
-    ///
-    /// **Accumulates across fork/join cycles**: every sharded operation's
-    /// joins *add* shard counts into this total, so back-to-back
-    /// measurement windows read cumulatively — call
-    /// [`AmbitSystem::reset_batched_commands`] between windows.
+    /// jobs execute. The count is cumulative; call
+    /// [`AmbitSystem::reset_batched_commands`] between measurement windows.
     pub fn batched_commands(&self) -> u64 {
         self.device.batched_commands()
     }
 
     /// Resets the [`AmbitSystem::batched_commands`] diagnostic counter to
     /// zero. Purely diagnostic — execution, traces, and telemetry are
-    /// unaffected. Use at the start of each measurement window so repeated
-    /// fork/join cycles don't double-count into the next window's reading.
+    /// unaffected. Use at the start of each measurement window.
     pub fn reset_batched_commands(&mut self) {
         self.device.reset_batched_commands();
     }
@@ -709,11 +588,9 @@ impl AmbitSystem {
     /// Switches one projection of command observation on or off on the
     /// underlying device (see [`Observer`]).
     ///
-    /// Every AAP/AP/TRA the engine issues is observed — including on the
-    /// sharded parallel path, where shard observers are absorbed back
-    /// shard-major on join and the projections normalize at export, so
-    /// trace, telemetry and profile are byte-identical at any thread count.
-    /// With telemetry on, the engine adds its operation, site and
+    /// Every AAP/AP/TRA the engine issues is observed, in replay order;
+    /// the trace and profile projections normalize at export. With
+    /// telemetry on, the engine adds its operation, site and
     /// chunk-width series to the device's.
     pub fn observe(&mut self, projection: Projection, enabled: bool) {
         self.device.observe(projection, enabled);
@@ -1079,8 +956,7 @@ impl AmbitSystem {
     /// addresses; special rows resolve against the subarray each chunk
     /// lives in. This is the path the built-in bulk operations take too
     /// ([`AmbitSystem::execute`] runs [`program_for`] over `[a, b?, dst]`),
-    /// so a compiled program rides the same batched issue fast path and
-    /// bank sharding.
+    /// so a compiled program rides the same batched issue fast path.
     ///
     /// The returned report's `bytes_out` is `0`: the engine cannot know
     /// which planes are the program's payload, so callers attribute output
@@ -1904,45 +1780,6 @@ mod tests {
         assert_eq!(sys.read(&out).count_ones() as usize, bits);
         sys.fill(&out, false).unwrap();
         assert_eq!(sys.read(&out).count_ones(), 0);
-    }
-
-    #[test]
-    fn failing_bank_shard_keeps_every_banks_rows() {
-        // The middle bank's copy crosses subarrays and errors; every shard
-        // is still joined back, so no bank's rows read as zero afterwards.
-        let mut dev = Device::new(DramSpec::ddr3_1600());
-        let far = dev.spec().org.rows_per_subarray() + 2;
-        let banks: Vec<BankId> = (0..3).map(|b| BankId::new(0, 0, b)).collect();
-        for (i, b) in banks.iter().enumerate() {
-            dev.store_mut().write_word(b.row(1), 0, 0xA0 + i as u64);
-        }
-        let pairs: BankGroups = banks
-            .iter()
-            .enumerate()
-            .map(|(i, &b)| {
-                let dst = if i == 1 { far } else { 2 };
-                let cmd = Command::Aap {
-                    src: b.row(1),
-                    dst: b.row(dst),
-                    invert: false,
-                };
-                let site = SiteCmd {
-                    site: i as u64,
-                    chunk: i,
-                    cmd,
-                    fault_rows: FaultRows::default(),
-                };
-                (b, vec![site])
-            })
-            .collect();
-        assert!(run_bank_groups(&mut dev, pairs, 0, 3, 0.0, 0).is_err());
-        for (i, b) in banks.iter().enumerate() {
-            let seeded = 0xA0 + i as u64;
-            assert_eq!(dev.store().read_word(b.row(1), 0), seeded, "bank {i}");
-            if i != 1 {
-                assert_eq!(dev.store().read_word(b.row(2), 0), seeded, "bank {i} copy");
-            }
-        }
     }
 
     #[test]

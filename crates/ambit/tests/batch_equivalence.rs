@@ -1,10 +1,9 @@
 //! Equivalence of the controller's batched-run fast path at the engine
 //! level: for any bulk program, execution with batch issue enabled must
 //! produce byte-identical outputs, command traces, telemetry snapshots,
-//! and reports to per-command issue — sequentially and bank-sharded at
-//! any thread count — and the protocol oracle must accept the batched
-//! trace. The only allowed difference is the `batched_commands`
-//! diagnostic counter.
+//! and reports to per-command issue at any thread count, and the protocol
+//! oracle must accept the batched trace. The only allowed difference is
+//! the `batched_commands` diagnostic counter.
 
 use pim_ambit::{AmbitConfig, AmbitSystem, ExecReport};
 use pim_dram::{Observer, Projection};
@@ -86,20 +85,34 @@ fn batch_issue_defaults_on_and_toggles() {
 
 #[test]
 fn sequential_runs_batch_and_per_command_runs_do_not() {
-    // One thread forces the sequential path, where an op step's sites
-    // span all chunks in strictly increasing order — a single long run.
-    let (on, off) = with_threads(1, || {
-        (
-            run_program(true, 6, &[0, 2, 7, 8], 7),
-            run_program(false, 6, &[0, 2, 7, 8], 7),
-        )
-    });
-    assert!(on.batched > 0, "multi-chunk sequential steps must batch");
-    assert_eq!(off.batched, 0, "disabled fast path must never batch");
-    assert_eq!(on.outs, off.outs, "outputs diverged");
-    assert_eq!(on.reports, off.reports, "reports diverged");
-    assert_eq!(on.trace, off.trace, "traces diverged");
-    assert_eq!(on.telemetry, off.telemetry, "telemetry diverged");
+    // The engine replays every op step's sites across all chunks in
+    // strictly increasing order — one long run per instruction — so with
+    // batching on every command takes the fast path, at any thread count.
+    for threads in [1, 4] {
+        let (on, off) = with_threads(threads, || {
+            (
+                run_program(true, 6, &[0, 2, 7, 8], 7),
+                run_program(false, 6, &[0, 2, 7, 8], 7),
+            )
+        });
+        let commands: u64 = on.reports.iter().map(|r| r.commands.total()).sum();
+        assert!(commands > 0);
+        assert_eq!(
+            on.batched, commands,
+            "{threads} threads: every command batches"
+        );
+        assert_eq!(off.batched, 0, "disabled fast path must never batch");
+        assert_eq!(on.outs, off.outs, "{threads} threads: outputs diverged");
+        assert_eq!(
+            on.reports, off.reports,
+            "{threads} threads: reports diverged"
+        );
+        assert_eq!(on.trace, off.trace, "{threads} threads: traces diverged");
+        assert_eq!(
+            on.telemetry, off.telemetry,
+            "{threads} threads: telemetry diverged"
+        );
+    }
 }
 
 proptest! {
@@ -124,13 +137,10 @@ proptest! {
                 "reports differ: {} threads, batch {}", threads, batch);
             prop_assert_eq!(&base.telemetry, &other.telemetry,
                 "telemetry differs: {} threads, batch {}", threads, batch);
-            if threads == 1 {
-                // Same schedule ⇒ the *raw* record stream must match.
-                prop_assert_eq!(&base.trace, &other.trace,
-                    "raw traces differ: {} threads, batch {}", threads, batch);
-            }
-            // Across thread counts, raw order reflects shard merge order;
-            // the normalized trace must still be byte-identical.
+            // One replay order at every thread count and batch setting, so
+            // the *raw* record stream must match, not only the normalized one.
+            prop_assert_eq!(&base.trace, &other.trace,
+                "raw traces differ: {} threads, batch {}", threads, batch);
             let norm = pim_check::Trace::capture(other.spec, other.trace).to_bytes();
             prop_assert_eq!(&base_norm, &norm,
                 "normalized traces differ: {} threads, batch {}", threads, batch);

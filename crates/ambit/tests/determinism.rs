@@ -147,8 +147,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Arbitrary Ambit programs over 1–8 banks: the protocol oracle
-    /// accepts every captured command trace, the sharded (8-thread) run
-    /// produces the same outputs as the sequential one, and both runs
+    /// accepts every captured command trace, the run under an 8-thread
+    /// pool produces the same outputs as the one-thread run, and both
     /// normalize to byte-identical traces.
     #[test]
     fn arbitrary_programs_trace_identically_and_legally(

@@ -1,9 +1,6 @@
 //! Telemetry determinism for bank-parallel Ambit execution: for any
 //! bulk bitwise program spanning 1–8 banks, the metric registry frozen
-//! after the run must be byte-identical whether the banks execute
-//! sequentially (one worker thread) or sharded across any larger pool —
-//! the shard sinks start empty and merge with commutative counter
-//! addition, so the fork/join must be invisible.
+//! after the run must be byte-identical under a pool of any size.
 
 use pim_ambit::{AmbitConfig, AmbitSystem};
 use pim_dram::{Observer, Projection};
@@ -87,8 +84,7 @@ mod thread_invariance {
             .install(f)
     }
 
-    /// Sequential (1 worker) and bank-sharded (many workers) execution
-    /// freeze byte-identical telemetry.
+    /// Pools of 1, 2, 4 and 8 workers freeze byte-identical telemetry.
     #[test]
     fn telemetry_identical_across_thread_counts() {
         let descr: Vec<(u8, u8, u16)> = (0..6)

@@ -119,44 +119,6 @@ fn bench_in_dram_adder(c: &mut Criterion) {
     group.finish();
 }
 
-/// Wall-clock scaling of the bank-parallel execute path: the same
-/// 8-bank E1-sized bulk op under a 1-thread pool vs a multi-thread pool.
-/// Results are bit-identical (see the determinism tests); only the time
-/// differs. On a single-core host the two land on the sequential path and
-/// should tie.
-fn bench_thread_scaling(c: &mut Criterion) {
-    let mut group = c.benchmark_group("thread_scaling");
-    group.sample_size(10);
-    for threads in [1usize, 8] {
-        group.bench_with_input(
-            BenchmarkId::new("e1_execute_8banks", threads),
-            &threads,
-            |b, &threads| {
-                let pool = rayon::ThreadPoolBuilder::new()
-                    .num_threads(threads)
-                    .build()
-                    .expect("pool");
-                let mut sys = AmbitSystem::new(AmbitConfig::ddr3());
-                let bits = sys.row_bits() * sys.spec().org.total_banks() as usize;
-                let mut rng = rand::rngs::StdRng::seed_from_u64(8);
-                let a = sys.alloc(bits).unwrap();
-                let bb = sys.alloc(bits).unwrap();
-                let out = sys.alloc(bits).unwrap();
-                sys.write(&a, &BitVec::random(bits, 0.5, &mut rng)).unwrap();
-                sys.write(&bb, &BitVec::random(bits, 0.5, &mut rng))
-                    .unwrap();
-                b.iter(|| {
-                    pool.install(|| {
-                        sys.execute(BulkOp::Xor, &a, Some(&bb), &out)
-                            .expect("execute")
-                    })
-                });
-            },
-        );
-    }
-    group.finish();
-}
-
 fn bench_graph_generation(c: &mut Criterion) {
     c.bench_function("rmat_scale14", |b| {
         b.iter(|| {
@@ -174,7 +136,6 @@ criterion_group!(
     bench_tesseract,
     bench_bitvec,
     bench_in_dram_adder,
-    bench_thread_scaling,
     bench_graph_generation
 );
 criterion_main!(benches);

@@ -3,21 +3,19 @@
 //! 1/2/4/8 threads, the multi-stack E5 identity and balance check, and
 //! the host-interference ablation — plus the regression bands CI gates on.
 //!
-//! ## Methodology: schedule-model words/s
+//! ## Methodology: modeled channel-domain schedules
 //!
-//! Thread-scaling numbers are computed from *measured per-channel-domain
-//! costs*, scheduled as contiguous chunks per worker (the vendored rayon
-//! policy), not from end-to-end wall clock of the parallel runs
-//! themselves: CI containers are routinely pinned to one or two cores,
-//! where the wall clock of an 8-thread pool measures the host scheduler,
-//! not the shard structure. The model prices each channel domain as an
-//! independent shard — a property of the machine, which shares no timing
-//! state across channels — while the engine itself forks per bank. Each
-//! channel domain's cost *is* a measured wall time (that domain's slice
-//! running alone, minimum over repetitions); each thread count's makespan
-//! is the critical path of the chunk schedule over those measured costs,
-//! and `words_per_s = words / makespan`. The bank-sharded runs still
-//! execute for real at every thread count — that is what the
+//! The Ambit engine replays on one host thread at every pool size, so
+//! the thread points are not runs of a parallel engine. Each is a
+//! *modeled* schedule over *measured per-channel-domain costs*,
+//! scheduled as contiguous chunks per worker (the vendored rayon
+//! policy): it prices each channel domain as an independent shard — a
+//! property of the machine, which shares no timing state across
+//! channels. Each channel domain's cost *is* a measured wall time (that
+//! domain's slice running alone, minimum over repetitions); each thread
+//! count's makespan is the critical path of the chunk schedule over
+//! those measured costs, and `words_per_s = words / makespan`. The runs
+//! under 2/4/8-thread pools still execute for real — that is what the
 //! byte-identity assertion checks — and the measured sequential
 //! whole-device time is reported next to the domain-cost sum so the
 //! schedule model's own error stays visible.
@@ -57,8 +55,7 @@ fn config_for(spec: DramSpec) -> AmbitConfig {
     }
 }
 
-/// Runs `f` under a rayon pool fixed at `n` threads; one thread selects
-/// the engine's sequential replay.
+/// Runs `f` under a rayon pool fixed at `n` threads.
 fn with_threads<T>(n: usize, f: impl FnOnce() -> T) -> T {
     rayon::ThreadPoolBuilder::new()
         .num_threads(n)
@@ -119,8 +116,8 @@ fn makespan(domain_secs: &[f64], threads: usize) -> f64 {
 }
 
 /// One thread count's efficiency point, from the schedule model: the
-/// machine's channel domains priced as independent shards, whatever
-/// shape the engine forks in (it forks per bank).
+/// machine's channel domains priced as independent shards (the engine
+/// itself replays on one thread).
 #[derive(Debug, Clone)]
 pub struct ThreadPoint {
     /// Worker threads of the modeled pool.
@@ -148,8 +145,8 @@ pub struct E1Scaling {
     pub seq_secs: f64,
     /// Measured per-channel-domain seconds, channel order.
     pub domain_secs: Vec<f64>,
-    /// Sequential and bank-sharded runs agree on every output bit and
-    /// every normalized trace byte at 2/4/8 threads.
+    /// Runs under 1- and 2/4/8-thread pools agree on every output bit
+    /// and every normalized trace byte.
     pub byte_identical: bool,
     /// The protocol oracle accepts the sequential 256-bank trace.
     pub oracle_clean: bool,

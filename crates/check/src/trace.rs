@@ -74,9 +74,7 @@ pub struct Trace {
 impl Trace {
     /// Builds a trace from raw captured records, normalizing them into
     /// canonical order. Use this on anything taken from a device sink —
-    /// bank-sharded parallel runs append shard traces bank-major, and even
-    /// sequential Ambit runs interleave chunk timelines out of cycle
-    /// order.
+    /// Ambit replays interleave chunk timelines out of cycle order.
     pub fn capture(spec: DramSpec, mut records: Vec<TraceRecord>) -> Self {
         pim_dram::trace::normalize(&mut records);
         Trace { spec, records }

@@ -131,15 +131,13 @@ enum RowTable {
 }
 
 /// One bank's materialized rows: a slot-major `u64` slab plus the
-/// row→slot table. Obtained from [`DataStore::take_bank`] and moved back
-/// with [`DataStore::insert_bank`] — the O(1) fork/join primitive behind
-/// bank-parallel execution.
+/// row→slot table.
 #[derive(Debug, Clone)]
-pub struct BankRows {
+struct BankRows {
     bank: BankId,
     /// Slot-major payloads: slot `s` occupies `words[s*row_words..][..row_words]`.
     words: Vec<u64>,
-    /// Slot → row index (the table's inverse; drives promotion and merge).
+    /// Slot → row index (the table's inverse; drives promotion).
     slot_rows: Vec<u32>,
     table: RowTable,
 }
@@ -152,11 +150,6 @@ impl BankRows {
             slot_rows: Vec::new(),
             table: RowTable::Sparse(FastRowMap::new()),
         }
-    }
-
-    /// The bank these rows belong to.
-    pub fn bank_id(&self) -> BankId {
-        self.bank
     }
 
     #[inline]
@@ -643,40 +636,6 @@ impl DataStore {
         self.banks.clear();
         self.last_bank.set(usize::MAX);
     }
-
-    /// Removes and returns `bank`'s whole arena (its rows then read as
-    /// zero here), or `None` if the bank was never touched. O(1): the slab
-    /// moves, nothing is copied. Used to carve a per-bank shard for
-    /// parallel execution.
-    pub fn take_bank(&mut self, bank: BankId) -> Option<BankRows> {
-        let idx = self.banks.iter().position(|b| b.bank == bank)?;
-        self.last_bank.set(usize::MAX);
-        Some(self.banks.swap_remove(idx))
-    }
-
-    /// Removes and returns every bank arena.
-    pub fn take_all_banks(&mut self) -> Vec<BankRows> {
-        self.last_bank.set(usize::MAX);
-        std::mem::take(&mut self.banks)
-    }
-
-    /// Inserts an arena previously removed with [`DataStore::take_bank`] /
-    /// [`DataStore::take_all_banks`]. If rows of that bank were
-    /// re-materialized here in the meantime, the incoming rows overwrite
-    /// them row by row; in the common fork/join protocol the bank is absent
-    /// and the arena moves back in O(1).
-    pub fn insert_bank(&mut self, incoming: BankRows) {
-        match self.bank_index(incoming.bank) {
-            None => self.banks.push(incoming),
-            Some(_) => {
-                let words = self.row_words;
-                for (slot, &row) in incoming.slot_rows.iter().enumerate() {
-                    let id = incoming.bank.row(row);
-                    self.write_row(id, &incoming.words[slot * words..(slot + 1) * words]);
-                }
-            }
-        }
-    }
 }
 
 /// Two disjoint `n`-word ranges of `ws` starting at distinct offsets.
@@ -915,40 +874,6 @@ mod tests {
     fn read_word_oob_panics() {
         let s = store();
         let _ = s.read_word(rid(0), 8);
-    }
-
-    #[test]
-    fn take_and_insert_bank_round_trip() {
-        let mut s = store();
-        let b0r = RowId::new(0, 0, 0, 1);
-        let b1r = RowId::new(0, 0, 1, 1);
-        s.write_word(b0r, 0, 11);
-        s.write_word(b1r, 0, 22);
-        let taken = s.take_bank(BankId::new(0, 0, 1)).expect("bank 1 touched");
-        assert_eq!(taken.bank_id(), BankId::new(0, 0, 1));
-        assert_eq!(s.read_word(b1r, 0), 0, "taken rows read as zero");
-        assert_eq!(s.read_word(b0r, 0), 11, "other banks untouched");
-        s.insert_bank(taken);
-        assert_eq!(s.read_word(b1r, 0), 22);
-        assert!(s.take_bank(BankId::new(0, 0, 7)).is_none());
-        let all = s.take_all_banks();
-        assert_eq!(all.len(), 2);
-        assert_eq!(s.allocated_rows(), 0);
-    }
-
-    #[test]
-    fn insert_bank_merges_into_existing() {
-        let mut s = store();
-        let r1 = RowId::new(0, 0, 1, 5);
-        let r2 = RowId::new(0, 0, 1, 6);
-        s.write_word(r1, 0, 1);
-        let taken = s.take_bank(BankId::new(0, 0, 1)).unwrap();
-        // Re-materialize rows of the same bank while the arena is out.
-        s.write_word(r1, 0, 99);
-        s.write_word(r2, 0, 42);
-        s.insert_bank(taken);
-        assert_eq!(s.read_word(r1, 0), 1, "incoming rows overwrite");
-        assert_eq!(s.read_word(r2, 0), 42, "rows absent from the arena stay");
     }
 
     #[test]

@@ -9,7 +9,7 @@
 
 use crate::bank::{Bank, BankState};
 use crate::command::{Command, CommandCounts, CommandKind};
-use crate::data::{BankRows, DataStore};
+use crate::data::DataStore;
 use crate::error::{DramError, Result};
 use crate::spec::DramSpec;
 use crate::trace::{Observer, Projection};
@@ -102,11 +102,8 @@ pub struct Device {
     /// the equivalence tests' lever.
     batch_runs: bool,
     /// Commands issued through [`Device::issue_run`] since construction or
-    /// the last [`Device::reset_batched_commands`]. **Accumulates on
-    /// join**: [`Device::join_bank`] *adds* each shard's count to the
-    /// parent's, so across repeated fork/join cycles this is the running
-    /// total of fast-path commands — reset it between measurement windows.
-    /// Proves the fast path actually engaged.
+    /// the last [`Device::reset_batched_commands`]: the running total of
+    /// fast-path commands, which proves the fast path actually engaged.
     batched_commands: u64,
 }
 
@@ -200,21 +197,15 @@ impl Device {
         self.batch_runs
     }
 
-    /// Commands issued through the batched-run fast path so far.
-    ///
-    /// The counter accumulates across fork/join cycles (every
-    /// [`Device::join_bank`] adds the shard's count); see
-    /// [`Device::reset_batched_commands`].
+    /// Commands issued through the batched-run fast path since
+    /// construction or the last [`Device::reset_batched_commands`].
     pub fn batched_commands(&self) -> u64 {
         self.batched_commands
     }
 
     /// Resets the [`Device::batched_commands`] diagnostic counter to zero.
     ///
-    /// Because joins accumulate shard counts into the parent, a caller
-    /// that measures several fork/join windows back to back would
-    /// otherwise read earlier windows' commands into later ones. Call
-    /// this at the start of each measurement window. The counter is
+    /// Call this at the start of each measurement window. The counter is
     /// purely diagnostic: resetting it does not affect execution, traces,
     /// or telemetry.
     pub fn reset_batched_commands(&mut self) {
@@ -800,114 +791,6 @@ impl Device {
     fn rank_mut(&mut self, channel: u32, rank: u32) -> &mut RankTiming {
         &mut self.channels[channel as usize].ranks[rank as usize]
     }
-
-    /// Splits off a shard device that owns `bank`'s data rows and a copy of
-    /// the timing state, so commands confined to that bank can be issued on
-    /// the shard concurrently with other banks' shards.
-    ///
-    /// The moved rows read as zero in `self` until [`Device::join_bank`]
-    /// returns them. The shard starts with fresh counts and an empty fork
-    /// of the observer, so the join merges them back without double
-    /// counting.
-    ///
-    /// Timing equivalence holds only for commands that are *bank-local* in
-    /// the timing model — with `pim.faw_exempt` set (the default), all PIM
-    /// row ops (`Aap`/`Ap`/`Tra`/`TraAap`) qualify because they never touch
-    /// rank-level tRRD/tFAW state. Callers must not issue rank-coupled
-    /// commands on a shard. Bank-local commands touch no state outside
-    /// their bank, so shards of any banks — in one channel or across
-    /// several — compose.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DramError::AddressOutOfRange`] if `bank` does not exist.
-    pub fn fork_bank(&mut self, bank: BankId) -> Result<Device> {
-        let (source, mut rows) = self.fork_banks(&[bank])?;
-        Ok(source.shard(rows.pop().flatten()))
-    }
-
-    /// [`Device::fork_bank`] for several banks at once, in two steps so
-    /// the shards can be built on worker threads: this call moves each
-    /// bank's rows out (`None` for a bank never written), in `banks`
-    /// order, and [`ShardSource::shard`] builds the shard that owns them.
-    /// The source only reads this device, so any number of threads can
-    /// build shards from it at once, each shard's copy of the timing
-    /// state landing on the heap of the thread that replays it.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DramError::AddressOutOfRange`] if any bank does not
-    /// exist; no rows are moved then.
-    pub fn fork_banks(
-        &mut self,
-        banks: &[BankId],
-    ) -> Result<(ShardSource<'_>, Vec<Option<BankRows>>)> {
-        for &b in banks {
-            self.check_bank_id(b)?;
-        }
-        let rows = banks.iter().map(|&b| self.store.take_bank(b)).collect();
-        let source = ShardSource {
-            spec: &self.spec,
-            channels: &self.channels,
-            observer: self.observer.as_ref(),
-            batch_runs: self.batch_runs,
-        };
-        Ok((source, rows))
-    }
-
-    /// Reabsorbs a shard produced by [`Device::fork_bank`]: `bank`'s timing
-    /// state is taken from the shard, the shard's rows move back into this
-    /// store, and its counts, batched-command diagnostic, and observed
-    /// events merge into this device's.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DramError::AddressOutOfRange`] if `bank` does not exist.
-    pub fn join_bank(&mut self, bank: BankId, mut shard: Device) -> Result<()> {
-        self.check_bank_id(bank)?;
-        *self.bank_mut(bank) = shard.bank(bank).clone();
-        for arena in shard.store.take_all_banks() {
-            self.store.insert_bank(arena);
-        }
-        self.counts.merge(&shard.counts);
-        self.batched_commands += shard.batched_commands;
-        if let (Some(mine), Some(theirs)) = (&mut self.observer, shard.observer) {
-            mine.absorb(theirs);
-        }
-        Ok(())
-    }
-}
-
-/// A device's timing state and observer settings, borrowed read-only so
-/// bank shards can be built from it on several threads at once. Obtained
-/// from [`Device::fork_banks`].
-#[derive(Debug)]
-pub struct ShardSource<'a> {
-    spec: &'a DramSpec,
-    channels: &'a [ChannelTiming],
-    observer: Option<&'a Observer>,
-    batch_runs: bool,
-}
-
-impl ShardSource<'_> {
-    /// Builds a shard that owns `rows` (one bank's, as returned by
-    /// [`Device::fork_banks`]) and a copy of the timing state, with fresh
-    /// counts and an empty fork of the observer; see [`Device::fork_bank`].
-    pub fn shard(&self, rows: Option<BankRows>) -> Device {
-        let mut store = DataStore::new(self.spec.org.row_bytes());
-        if let Some(arena) = rows {
-            store.insert_bank(arena);
-        }
-        Device {
-            spec: self.spec.clone(),
-            channels: self.channels.to_vec(),
-            store,
-            counts: CommandCounts::new(),
-            observer: self.observer.map(Observer::fork),
-            batch_runs: self.batch_runs,
-            batched_commands: 0,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1402,144 +1285,19 @@ mod tests {
     }
 
     #[test]
-    fn fork_join_matches_direct_execution() {
-        // Issuing bank-local PIM commands on a forked shard and joining it
-        // back must be indistinguishable — data, counts, and timing — from
-        // issuing the same commands on the original device.
-        let prog: Vec<(RowId, RowId)> = (0..4).map(|i| (row(1, i), row(1, 100 + i))).collect();
-
-        let mut direct = dev();
-        for (i, (src, _)) in prog.iter().enumerate() {
-            direct.store_mut().write_word(*src, 0, 0x1000 + i as u64);
-        }
-        let mut direct_end = 0;
-        for &(src, dst) in &prog {
-            let (_, out) = direct
-                .issue_earliest(
-                    Command::Aap {
-                        src,
-                        dst,
-                        invert: false,
-                    },
-                    0,
-                )
-                .unwrap();
-            direct_end = direct_end.max(out.done);
-        }
-
-        let mut forked = dev();
-        for (i, (src, _)) in prog.iter().enumerate() {
-            forked.store_mut().write_word(*src, 0, 0x1000 + i as u64);
-        }
-        let bank = BankId::new(0, 0, 1);
-        let mut shard = forked.fork_bank(bank).unwrap();
-        assert_eq!(
-            forked.store().read_word(prog[0].0, 0),
-            0,
-            "rows moved to shard"
-        );
-        let mut shard_end = 0;
-        for &(src, dst) in &prog {
-            let (_, out) = shard
-                .issue_earliest(
-                    Command::Aap {
-                        src,
-                        dst,
-                        invert: false,
-                    },
-                    0,
-                )
-                .unwrap();
-            shard_end = shard_end.max(out.done);
-        }
-        forked.join_bank(bank, shard).unwrap();
-
-        assert_eq!(shard_end, direct_end);
-        assert_eq!(forked.counts(), direct.counts());
-        for &(src, dst) in &prog {
-            assert_eq!(
-                forked.store().read_word(dst, 0),
-                direct.store().read_word(dst, 0)
-            );
-            assert_eq!(
-                forked.store().read_word(src, 0),
-                direct.store().read_word(src, 0)
-            );
-        }
-        // Timing state survives the round trip: the next command in that
-        // bank sees the same earliest cycle on both devices.
-        let probe = Command::Aap {
-            src: row(1, 50),
-            dst: row(1, 150),
-            invert: false,
-        };
-        assert_eq!(
-            forked.earliest(&probe).unwrap(),
-            direct.earliest(&probe).unwrap()
-        );
-    }
-
-    #[test]
-    fn fork_bank_rejects_bad_bank() {
+    fn batched_commands_accumulate_and_reset() {
         let mut d = dev();
-        assert!(d.fork_bank(BankId::new(9, 0, 0)).is_err());
-    }
-
-    #[test]
-    fn fork_banks_builds_shards_on_other_threads() {
-        let mut d = dev();
-        let banks = [BankId::new(0, 0, 0), BankId::new(0, 0, 1)];
-        for (i, b) in banks.iter().enumerate() {
-            d.store_mut().write_word(b.row(1), 0, 0xB0 + i as u64);
-        }
-        // A bad bank anywhere in the list moves no rows.
-        assert!(d.fork_banks(&[banks[0], BankId::new(9, 0, 0)]).is_err());
-        assert_eq!(d.store().read_word(banks[0].row(1), 0), 0xB0);
-        let (source, rows) = d.fork_banks(&banks).unwrap();
-        let shards: Vec<Device> = std::thread::scope(|s| {
-            let handles: Vec<_> = banks
-                .iter()
-                .zip(rows)
-                .map(|(&b, rows)| {
-                    let source = &source;
-                    s.spawn(move || {
-                        let mut shard = source.shard(rows);
-                        shard.issue_earliest(Command::Ap(b.row(1)), 0).unwrap();
-                        shard
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        assert_eq!(d.store().read_word(banks[0].row(1), 0), 0, "rows moved out");
-        for (&b, shard) in banks.iter().zip(shards) {
-            d.join_bank(b, shard).unwrap();
-        }
-        for (i, b) in banks.iter().enumerate() {
-            assert_eq!(d.store().read_word(b.row(1), 0), 0xB0 + i as u64);
-        }
-        assert_eq!(d.counts().count(CommandKind::Ap), 2);
-    }
-
-    #[test]
-    fn batched_commands_accumulate_on_join_and_reset() {
-        let mut d = dev();
-        let bank = BankId::new(0, 0, 0);
         let cmds: Vec<Command> = (0..3).map(|i| Command::Ap(row(0, i))).collect();
         let nb = vec![0; cmds.len()];
         let mut done = Vec::new();
         for _ in 0..2 {
-            let mut shard = d.fork_bank(bank).unwrap();
-            shard.issue_run(&cmds, &nb, &mut done).unwrap();
-            d.join_bank(bank, shard).unwrap();
+            d.issue_run(&cmds, &nb, &mut done).unwrap();
         }
-        // Two fork/join windows accumulate: 3 + 3.
+        // Two runs accumulate: 3 + 3.
         assert_eq!(d.batched_commands(), 6);
         d.reset_batched_commands();
         assert_eq!(d.batched_commands(), 0);
-        let mut shard = d.fork_bank(bank).unwrap();
-        shard.issue_run(&cmds, &nb, &mut done).unwrap();
-        d.join_bank(bank, shard).unwrap();
+        d.issue_run(&cmds, &nb, &mut done).unwrap();
         assert_eq!(d.batched_commands(), 3, "post-reset window counts alone");
     }
 }

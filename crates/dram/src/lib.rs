@@ -56,8 +56,8 @@ pub mod types;
 pub use bank::BankState;
 pub use command::{Command, CommandCounts, CommandKind};
 pub use controller::{Completion, Controller, ReqId, Request, RowPolicy};
-pub use data::{BankRows, DataStore};
-pub use device::{Device, IssueOutcome, ShardSource};
+pub use data::DataStore;
+pub use device::{Device, IssueOutcome};
 pub use error::{DramError, Result};
 pub use hammer::HammerMonitor;
 pub use mapping::AddressMapping;

@@ -12,17 +12,17 @@
 //! projection reads from its own position, so takes are independent; the
 //! prefix all of them have read is dropped.
 //!
-//! ## Shard merging
+//! ## Capture order
 //!
-//! Bank shards ([`Device::fork_bank`](crate::Device::fork_bank)), in one
-//! channel or across several, observe into an empty fork of the parent's
-//! observer, and the join appends their events shard-major, so consumers
-//! [`normalize`] traces (and
-//! `pim_profile::event::normalize` timelines) before comparing them: a
-//! stable sort on `(cycle, channel, rank, bank)`. Within one bank records
-//! are already in issue order (bank occupancy serializes them), so the
-//! result is *identical* whether the log was captured sequentially or from
-//! merged shards. Telemetry counters add, so they need no normalization.
+//! The log is in the order commands were applied, which is not cycle
+//! order: the Ambit engine replays a row program instruction by
+//! instruction across chunks, each chunk's chain in its own bank. So
+//! consumers [`normalize`] traces (and `pim_profile::event::normalize`
+//! timelines) before comparing them: a stable sort on
+//! `(cycle, channel, rank, bank)`. Within one bank records are already in
+//! issue order (bank occupancy serializes them), so the result depends
+//! only on the commands and their cycles. Telemetry counters add, so they
+//! need no normalization.
 
 use crate::command::{Command, CommandKind};
 use crate::spec::Organization;
@@ -56,8 +56,8 @@ impl TraceRecord {
 ///
 /// Per-bank subsequences keep their issue order (stable sort; two commands
 /// can never share a bank *and* a cycle because every command occupies its
-/// bank for at least one cycle), so sequential and bank-sharded captures of
-/// the same program normalize to byte-identical traces.
+/// bank for at least one cycle), so any capture order that keeps each
+/// bank's commands in issue order normalizes to the same trace.
 pub fn normalize(records: &mut [TraceRecord]) {
     records.sort_by_key(TraceRecord::sort_key);
 }
@@ -142,23 +142,6 @@ impl Observer {
         } else {
             None
         }
-    }
-
-    /// An empty observer for a device shard, with the same projections on.
-    pub(crate) fn fork(&self) -> Observer {
-        Observer {
-            org: self.org,
-            events: Vec::new(),
-            read: self.read.map(|r| r.map(|_| 0)),
-            telemetry: TelemetrySink::new(),
-        }
-    }
-
-    /// Moves a shard's events onto the end of this log and merges its
-    /// telemetry (the shard join).
-    pub(crate) fn absorb(&mut self, shard: Observer) {
-        self.events.extend(shard.events);
-        self.telemetry.merge(shard.telemetry);
     }
 
     /// Takes the trace projection: one record per command applied since

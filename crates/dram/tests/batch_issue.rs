@@ -186,52 +186,13 @@ fn empty_run_is_a_no_op() {
 }
 
 #[test]
-fn batch_toggle_round_trips_and_forks_propagate_it() {
+fn batch_toggle_round_trips() {
     let mut dev = Device::new(DramSpec::ddr3_1600());
     assert!(dev.batch_runs_enabled(), "batching defaults on");
     dev.set_batch_runs(false);
     assert!(!dev.batch_runs_enabled());
-    let shard = dev.fork_bank(BankId::new(0, 0, 0)).expect("bank exists");
-    assert!(!shard.batch_runs_enabled(), "forks inherit the toggle");
-    dev.join_bank(BankId::new(0, 0, 0), shard).expect("join");
     dev.set_batch_runs(true);
-    assert!(dev
-        .fork_bank(BankId::new(0, 0, 1))
-        .unwrap()
-        .batch_runs_enabled());
-}
-
-#[test]
-fn join_bank_accumulates_shard_batched_commands() {
-    let mut dev = instrumented_device();
-    // Batch a run on the parent first.
-    let cmds = aap_run(2, 0, 1);
-    let mut done = Vec::new();
-    dev.issue_run(&cmds, &[0, 0], &mut done).expect("legal run");
-    let parent_batched = dev.batched_commands();
-    assert_eq!(parent_batched, 2);
-
-    // Then one on a forked shard; the join must fold its tally back in.
-    let bank = BankId::new(0, 0, 3);
-    let mut shard = dev.fork_bank(bank).expect("bank exists");
-    assert_eq!(shard.batched_commands(), 0, "shards start at zero");
-    let shard_cmds = vec![
-        Command::Aap {
-            src: RowId::new(0, 0, 3, 0),
-            dst: RowId::new(0, 0, 3, 1),
-            invert: false,
-        },
-        Command::Aap {
-            src: RowId::new(0, 0, 3, 1),
-            dst: RowId::new(0, 0, 3, 2),
-            invert: false,
-        },
-    ];
-    shard
-        .issue_run(&shard_cmds, &[0, 0], &mut done)
-        .expect("legal run");
-    dev.join_bank(bank, shard).expect("join");
-    assert_eq!(dev.batched_commands(), parent_batched + 2);
+    assert!(dev.batch_runs_enabled());
 }
 
 /// A randomly chosen kind-homogeneous run spanning several banks: the

@@ -3,11 +3,10 @@
 //! (column transfers on the channel bus lane, rank-scoped REF/PREA on the
 //! flat rank lane, everything else on its flat bank lane) and one
 //! `dram.cmd.<kind>` count; the batched [`Device::issue_run`] fast path
-//! observes byte-identically to per-command issue; and channel- and
-//! bank-sharded capture normalizes to the sequential capture.
+//! observes byte-identically to per-command issue.
 
 use pim_dram::trace::normalize;
-use pim_dram::{BankId, Command, Cycle, Device, DramSpec, Projection, RowId, TraceRecord};
+use pim_dram::{Command, Cycle, Device, DramSpec, Projection, RowId, TraceRecord};
 use pim_profile::{Lane, TraceEvent};
 use pim_telemetry::TelemetrySink;
 
@@ -100,13 +99,13 @@ fn disabled_profiling_captures_nothing() {
     assert!(obs.take_telemetry().is_none());
 }
 
-/// A kind-homogeneous cross-bank AAP run on one channel, the shape the
-/// Ambit engine's row loop emits in steady state.
-fn aap_run(channel: u32, banks: u32) -> Vec<Command> {
+/// A kind-homogeneous cross-bank AAP run, the shape the Ambit engine's
+/// row loop emits in steady state.
+fn aap_run(banks: u32) -> Vec<Command> {
     (0..banks)
         .map(|bank| Command::Aap {
-            src: RowId::new(channel, 0, bank, 0),
-            dst: RowId::new(channel, 0, bank, 1),
+            src: RowId::new(0, 0, bank, 0),
+            dst: RowId::new(0, 0, bank, 1),
             invert: bank % 2 == 1,
         })
         .collect()
@@ -115,7 +114,7 @@ fn aap_run(channel: u32, banks: u32) -> Vec<Command> {
 #[test]
 fn batched_issue_run_profiles_identically_to_per_command_issue() {
     let spec = DramSpec::ddr3_1600();
-    let cmds = aap_run(0, spec.org.banks);
+    let cmds = aap_run(spec.org.banks);
     let not_before: Vec<Cycle> = (0..cmds.len() as Cycle).map(|i| i * 7).collect();
 
     let mut per_cmd = observed_device(spec.clone());
@@ -130,37 +129,4 @@ fn batched_issue_run_profiles_identically_to_per_command_issue() {
 
     assert_eq!(done.len(), cmds.len());
     assert_eq!(take(&mut batched), take(&mut per_cmd), "fast path diverged");
-}
-
-#[test]
-fn bank_sharded_capture_normalizes_to_sequential() {
-    let spec = DramSpec::ddr3_1600().with_channels(2);
-    let banks = spec.org.banks;
-    let cmds: Vec<Command> = (0..2).flat_map(|ch| aap_run(ch, banks)).collect();
-
-    let mut seq = observed_device(spec.clone());
-    for cmd in &cmds {
-        seq.issue_earliest(*cmd, 0).expect("issue");
-    }
-
-    // The engine's fork: every bank of both channels straight off the
-    // device, all shards live at once, joined in reverse order to prove
-    // merge-order independence.
-    let mut sharded = observed_device(spec);
-    let mut shards = Vec::new();
-    for (i, cmd) in cmds.iter().enumerate() {
-        let bank = BankId::new(i as u32 / banks, 0, i as u32 % banks);
-        let mut shard = sharded.fork_bank(bank).expect("fork bank");
-        shard.issue_earliest(*cmd, 0).expect("issue on shard");
-        shards.push((bank, shard));
-    }
-    for (bank, shard) in shards.into_iter().rev() {
-        sharded.join_bank(bank, shard).expect("join bank");
-    }
-
-    assert_eq!(
-        take(&mut sharded),
-        take(&mut seq),
-        "sharded capture diverged"
-    );
 }

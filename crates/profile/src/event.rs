@@ -7,15 +7,15 @@
 //! command observer at take time, the Tesseract executor and the
 //! runtime push theirs directly.
 //!
-//! ## Shard merging
+//! ## Capture order
 //!
-//! Bank/channel-parallel execution captures per shard and concatenates
-//! the shards at the join. The concatenation is shard-major,
-//! not time-major, so consumers [`normalize`] before export: a stable
-//! sort on [`TraceEvent::sort_key`]. Within one lane events are
+//! Captures are not time-major: the Ambit engine replays a program
+//! instruction by instruction across banks, so events of different lanes
+//! interleave out of cycle order. Consumers [`normalize`] before export:
+//! a stable sort on [`TraceEvent::sort_key`]. Within one lane events are
 //! already in capture order (lane occupancy serializes them), so the
-//! result is a canonical global order that is *identical* whether the
-//! events were captured sequentially or from merged shards — the same
+//! result is a canonical global order that is *identical* for any
+//! capture order that keeps each lane's events in order — the same
 //! argument that makes `pim_dram::trace::normalize` canonical.
 
 use crate::Cycle;
@@ -25,7 +25,7 @@ use std::borrow::Cow;
 ///
 /// Lane indices are physical-position keys (flat bank index, channel
 /// index, vault index), so the lane set — and therefore the export —
-/// is independent of sharding.
+/// is independent of capture order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Lane {
     /// The backend's submission queue (depth counters, queue waits).
@@ -132,8 +132,8 @@ impl TraceEvent {
 /// Canonicalizes an event stream: stable sort by
 /// [`TraceEvent::sort_key`].
 ///
-/// Per-lane subsequences keep their capture order (stable sort), so
-/// sequential and shard-merged captures of the same run normalize to
+/// Per-lane subsequences keep their capture order (stable sort), so any
+/// two captures of the same run whose lanes agree normalize to
 /// byte-identical streams.
 pub fn normalize(events: &mut [TraceEvent]) {
     events.sort_by(|a, b| a.sort_key().cmp(&b.sort_key()));

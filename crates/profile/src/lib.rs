@@ -12,8 +12,8 @@
 //!
 //! * [`ProfileSink`] / [`TraceEvent`] / [`Lane`] — an event buffer
 //!   (the DRAM device fills one from its command observer at take
-//!   time); [`event::normalize`] canonicalizes, so sequential and
-//!   sharded captures export byte-identically.
+//!   time); [`event::normalize`] canonicalizes, so captures of one run
+//!   export byte-identically whatever their capture order.
 //! * [`JobRecord`] / [`JobPhases`] — the per-job lifecycle phase
 //!   boundaries flat telemetry spans cannot express.
 //! * [`Profile`] — the versioned `PIMPROF01` export, which is at the

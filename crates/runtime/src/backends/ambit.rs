@@ -259,9 +259,8 @@ impl AmbitBackend {
             tel.observe("coalesce.batch_chunks", 0, POW2_BOUNDS, total_chunks as u64);
             // Note: commands issued through the device's batched-run fast
             // path are tracked by `AmbitSystem::batched_commands`, not as a
-            // telemetry series — batching granularity depends on how sites
-            // are sharded across worker threads, so a series would break
-            // snapshot thread-invariance.
+            // telemetry series — batching is a host-side replay detail,
+            // and the snapshot records only what the modeled machine did.
         }
 
         let out_words = out_cat.as_words();

@@ -1,9 +1,8 @@
 //! The runtime's coalesced job groups ride the device's batched-run fast
 //! path: a drained batch of same-op jobs advances the engine's
-//! `batched_commands` diagnostic (on the sequential path, where an op
-//! step's sites form one long run), outputs and reports stay identical
-//! with the fast path disabled, and the behavior holds with the
-//! bank-parallel execution path both off (one worker) and on (a pool).
+//! `batched_commands` diagnostic (an op step's sites form one long run),
+//! outputs and reports stay identical with the fast path disabled, and
+//! the behavior holds under a one-worker pool and a larger one.
 
 use pim_ambit::AmbitConfig;
 use pim_runtime::{AmbitBackend, Backend, Job, JobId, JobOutput};
@@ -52,12 +51,10 @@ fn assert_batching_fires_and_is_invisible(threads: usize) {
         (drain_backend(&jobs, true), drain_backend(&jobs, false))
     });
     assert_eq!(batched_off, 0, "disabled fast path must never batch");
-    if threads == 1 {
-        assert!(
-            batched_on > 0,
-            "coalesced groups must ride the fast path sequentially"
-        );
-    }
+    assert!(
+        batched_on > 0,
+        "coalesced groups must ride the fast path at {threads} threads"
+    );
     assert_eq!(on.len(), jobs.len());
     assert_eq!(on, off, "job outputs must not depend on batch issue");
 }

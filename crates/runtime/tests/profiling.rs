@@ -181,10 +181,9 @@ fn disabled_profiling_takes_nothing() {
     assert!(!rt.profile_enabled());
 }
 
-/// Sharding invariance of the exported profile: the fork/merge sinks
-/// plus normalization must make the `PIMPROF01` JSON byte-identical at
-/// every thread count — one thread being sequential replay — on a
-/// multi-channel device, where the bank fork spans several channels.
+/// Thread-count invariance of the exported profile: normalization must
+/// make the `PIMPROF01` JSON byte-identical at every pool size on a
+/// multi-channel device, where a replay spans several channels.
 mod shard_invariance {
     use super::*;
     use pim_dram::DramSpec;
@@ -217,7 +216,7 @@ mod shard_invariance {
 
     #[test]
     fn profile_json_is_byte_identical_across_thread_counts() {
-        // Spans multiple banks per channel so both shard axes engage.
+        // Spans multiple banks per channel and several channels.
         let jobs = bulk_jobs(6, 120_000, 23);
         let base = with_threads(1, || profiled_json(&jobs));
         Profile::from_json_str(&base).expect("envelope decodes");

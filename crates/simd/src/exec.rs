@@ -7,9 +7,8 @@
 //! striped allocator, then hands the instruction sequence to
 //! [`AmbitSystem::execute_row_program`]. Nothing about the program
 //! changes per run: the same command sequence rides the engine's batched
-//! issue fast path and bank sharding, gets traced and
-//! telemetered like any built-in bulk operation, and frees every row it
-//! allocated before returning.
+//! issue fast path, gets traced and telemetered like any built-in bulk
+//! operation, and frees every row it allocated before returning.
 
 use crate::emit::CompiledProgram;
 use crate::error::{Result, SimdError};

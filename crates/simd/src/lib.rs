@@ -19,8 +19,8 @@
 //!
 //! Compiled programs execute *unchanged* on [`pim_ambit::AmbitSystem`]
 //! via its row-program entry point, riding the batched command-issue
-//! fast path and bank sharding, with traces and telemetry
-//! captured like any built-in operation.
+//! fast path, with traces and telemetry captured like any built-in
+//! operation.
 //!
 //! Correctness is differential: [`OpGraph::eval_reference`] is an
 //! independent host scalar interpreter, and the conformance suite

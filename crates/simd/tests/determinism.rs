@@ -1,9 +1,8 @@
 //! Compiled-program determinism across thread counts: the same μprogram
 //! on a 2-channel, 2-rank device must produce byte-identical outputs,
-//! normalized trace bytes, and telemetry snapshots whether the engine
-//! replays it sequentially (one worker thread) or bank-sharded across
-//! both channels (2, 4, or 8 worker threads) — and every captured trace must
-//! pass the pim-check protocol oracle.
+//! normalized trace bytes, and telemetry snapshots under a pool of 1, 2,
+//! 4, or 8 worker threads — and every captured trace must pass the
+//! pim-check protocol oracle.
 
 use pim_ambit::{AmbitConfig, AmbitSystem};
 use pim_dram::{DramSpec, Observer, Projection};
@@ -28,7 +27,7 @@ struct RunFingerprint {
 }
 
 /// A 2ch x 2ra x 8ba DDR3 device, so lane chunks spread across channels
-/// and the engine's bank fork spans several channels.
+/// and ranks.
 fn two_channel_config() -> AmbitConfig {
     let mut cfg = AmbitConfig::ddr3();
     cfg.spec = DramSpec::ddr3_1600().with_channels(2).with_ranks(2);
@@ -80,10 +79,9 @@ fn workload() -> (CompiledProgram, Vec<BitSlicedIntVec>) {
     (program, inputs)
 }
 
-/// The headline invariant: sequential and bank-sharded replay of one
-/// compiled μprogram are indistinguishable in outputs,
-/// trace bytes, and telemetry at every thread count, and the reference
-/// trace passes the protocol oracle.
+/// The headline invariant: replays of one compiled μprogram are
+/// indistinguishable in outputs, trace bytes, and telemetry at every
+/// thread count, and the reference trace passes the protocol oracle.
 #[test]
 fn compiled_programs_are_shard_and_thread_invariant() {
     let (program, inputs) = workload();

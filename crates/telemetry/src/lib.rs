@@ -12,10 +12,9 @@
 //!   sums, gauges with high-water marks, fixed-bound histograms) plus a
 //!   stream of job [`JobSpan`]s. Components hold an
 //!   `Option<TelemetrySink>`; disabled telemetry is a single branch on
-//!   `None` per event. Sinks shard via [`TelemetrySink::fork`] and
-//!   recombine via [`TelemetrySink::merge`]; every merge operation is
-//!   commutative and associative (counters add, gauges max, histogram
-//!   buckets add), so bank-sharded parallel execution merges to the
+//!   `None` per event. Sinks recombine via [`TelemetrySink::merge`];
+//!   every merge operation is commutative and associative (counters
+//!   add, gauges max, histogram buckets add), so sinks merge to the
 //!   same registry in any order.
 //! * [`JobSpan`] / [`ExecSpan`] — the cycle-domain lifecycle of one
 //!   runtime job (`submit → queue → coalesce → execute → complete`),

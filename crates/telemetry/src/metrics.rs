@@ -131,10 +131,10 @@ impl Metric {
 ///
 /// Components hold an `Option<TelemetrySink>` (the DRAM device's inside
 /// its command observer), so disabled telemetry costs one branch per
-/// event site and allocates nothing. [`TelemetrySink::fork`] hands a
-/// bank/vault shard an empty sink; [`TelemetrySink::merge`] folds it
-/// back — all merge operations are commutative and associative, so the
-/// combined registry is identical whatever order shards finish in.
+/// event site and allocates nothing. [`TelemetrySink::merge`] folds
+/// one sink into another — all merge operations are commutative and
+/// associative, so the combined registry is identical whatever order
+/// the sinks are folded in.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TelemetrySink {
     metrics: BTreeMap<MetricKey, Metric>,
@@ -221,12 +221,6 @@ impl TelemetrySink {
     /// Records a completed job lifecycle span.
     pub fn record_span(&mut self, span: JobSpan) {
         self.spans.push(span);
-    }
-
-    /// An empty shard sink for bank/vault-parallel sections; fold the
-    /// result back with [`TelemetrySink::merge`].
-    pub fn fork(&self) -> TelemetrySink {
-        TelemetrySink::new()
     }
 
     /// Folds a shard (or another component's sink) into this one.
@@ -394,12 +388,5 @@ mod tests {
         root.merge_prefixed("ambit", shard);
         assert_eq!(root.counter("ambit.dram.cmd.act", 3), 11);
         assert_eq!(root.counter("dram.cmd.act", 3), 0);
-    }
-
-    #[test]
-    fn fork_starts_empty() {
-        let mut s = TelemetrySink::new();
-        s.count("c", 0, 1);
-        assert!(s.fork().is_empty());
     }
 }
