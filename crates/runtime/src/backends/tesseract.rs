@@ -1,6 +1,6 @@
 //! The Tesseract graph accelerator as a runtime backend: each
 //! [`Job::GraphBatch`] runs a kernel to convergence as a batch of
-//! vault-sharded supersteps.
+//! vault-partitioned supersteps.
 
 use crate::backend::{ensure_supported, Backend, JobQueue, DEFAULT_CAPACITY};
 use crate::error::RuntimeError;

@@ -43,7 +43,7 @@ pub enum Job {
         /// Fill with ones instead of zeros.
         ones: bool,
     },
-    /// One graph kernel run to convergence (a batch of vault-sharded
+    /// One graph kernel run to convergence (a batch of vault-partitioned
     /// supersteps on Tesseract; the cache-hierarchy baseline on a host).
     GraphBatch {
         /// The kernel.

@@ -204,8 +204,8 @@ fn charge_message(
     }
 }
 
-/// A remote function call recorded during a vault scan and applied at the
-/// superstep barrier, carrying a kernel-specific payload `M`.
+/// A remote function call recorded during a vault scan and applied once
+/// that vault's scan finishes, carrying a kernel-specific payload `M`.
 struct Emit<M> {
     src_vault: u32,
     dst_vault: u32,
@@ -235,55 +235,41 @@ impl VaultGroups {
 }
 
 /// Runs one barrier-synchronized superstep: `vertices` are grouped by
-/// owning vault (preserving order), every vault scans its group — reading
-/// only snapshot state, writing a vault-local trace, emit list, and
-/// accumulator — and the barrier then merges traces and applies emits in
-/// **vault order**. That fixed merge order makes traces and outputs
-/// identical whether the vault scans run on one thread or many; with more
-/// than one worker thread the scans run concurrently, one flat parallel
-/// loop over the vaults whatever the machine's stack count.
+/// owning vault (preserving order) and the vaults run one after another in
+/// **vault order**. Each vault scans its group into the superstep's trace,
+/// its emit list and its own accumulator, and then its emits are charged
+/// and applied in push order before the next vault scans. Vault-level
+/// parallelism lives on the simulated clock ([`crate::timing`] prices each
+/// vault per superstep), not in host threads.
 ///
-/// Returns the merged trace and each vault's accumulator (vault order) for
-/// the caller to fold.
-fn run_superstep<M: Send, A: Default + Send>(
+/// Invariant for every kernel: `scan` reads only state that `apply` never
+/// writes (a superstep-start snapshot or a superstep constant), so applying
+/// a vault's messages before the next vault scans gives the same result as
+/// applying them all at the barrier.
+///
+/// Returns the trace and each vault's accumulator (vault order) for the
+/// caller to fold; folding per-vault partials, not one running value, keeps
+/// floating-point sums in a fixed order.
+fn run_superstep<M, A: Default>(
     p: &VertexPartition,
     vertices: &[u32],
     dedup: &mut TargetDedup,
     groups: &mut VaultGroups,
-    scan: &(impl Fn(u32, &mut SuperstepTrace, &mut Vec<Emit<M>>, &mut A) + Sync),
+    scan: impl Fn(u32, &mut SuperstepTrace, &mut Vec<Emit<M>>, &mut A),
     mut apply: impl FnMut(&Emit<M>),
 ) -> (SuperstepTrace, Vec<A>) {
     dedup.next_superstep();
-    let n_vaults = p.vaults();
     groups.regroup(p, vertices);
-    let groups = &groups.groups;
-    let run_group = |group: &[u32]| {
-        let mut local = SuperstepTrace::new(n_vaults);
-        let mut emits = Vec::new();
+    let mut ss = SuperstepTrace::new(p.vaults());
+    let mut accs = Vec::with_capacity(groups.groups.len());
+    let mut emits = Vec::new();
+    for group in &groups.groups {
         let mut acc = A::default();
         for &u in group {
-            scan(u, &mut local, &mut emits, &mut acc);
-        }
-        (local, emits, acc)
-    };
-    let results: Vec<(SuperstepTrace, Vec<Emit<M>>, A)> = if rayon::current_num_threads() > 1 {
-        use rayon::prelude::*;
-        (0..groups.len())
-            .into_par_iter()
-            .map(|i| run_group(&groups[i]))
-            .collect()
-    } else {
-        groups.iter().map(|g| run_group(g)).collect()
-    };
-
-    let mut ss = SuperstepTrace::new(n_vaults);
-    let mut accs = Vec::with_capacity(results.len());
-    for (local, emits, acc) in results {
-        for (total, vault) in ss.vaults.iter_mut().zip(local.vaults.iter()) {
-            total.merge(vault);
+            scan(u, &mut ss, &mut emits, &mut acc);
         }
         accs.push(acc);
-        for e in emits {
+        for e in emits.drain(..) {
             charge_message(&mut ss, e.src_vault, e.dst_vault, e.target, dedup);
             apply(&e);
         }
@@ -299,12 +285,12 @@ pub fn run_atf(g: &Graph, p: &VertexPartition) -> (KernelOutput, ExecutionTrace)
     let mut dedup = TargetDedup::new(n);
     let mut groups = VaultGroups::default();
     let vertices: Vec<u32> = (0..n as u32).collect();
-    let scan = |u: u32, local: &mut SuperstepTrace, emits: &mut Vec<Emit<()>>, _: &mut ()| {
+    let scan = |u: u32, ss: &mut SuperstepTrace, emits: &mut Vec<Emit<()>>, _: &mut ()| {
         let vu = p.vault_of(u);
-        charge_scan(&mut local.vaults[vu as usize], 1, 0);
+        charge_scan(&mut ss.vaults[vu as usize], 1, 0);
         let teen = is_teen(u);
         scan_edge_pages(g, p, u, |sv, chunk| {
-            charge_scan(&mut local.vaults[sv as usize], 0, chunk.len() as u64);
+            charge_scan(&mut ss.vaults[sv as usize], 0, chunk.len() as u64);
             if teen {
                 for &w in chunk {
                     emits.push(Emit {
@@ -317,7 +303,7 @@ pub fn run_atf(g: &Graph, p: &VertexPartition) -> (KernelOutput, ExecutionTrace)
             }
         });
     };
-    let (ss, _) = run_superstep(p, &vertices, &mut dedup, &mut groups, &scan, |e| {
+    let (ss, _) = run_superstep(p, &vertices, &mut dedup, &mut groups, scan, |e| {
         counts[e.target as usize] += 1;
     });
     let total: u64 = counts.iter().map(|&c| c as u64).sum();
@@ -340,11 +326,11 @@ pub fn run_conductance(g: &Graph, p: &VertexPartition) -> (KernelOutput, Executi
     let vertices: Vec<u32> = (0..n as u32).collect();
     // Per-vault accumulator: (cut, vol_s, vol_t); folded at the barrier.
     let scan =
-        |u: u32, local: &mut SuperstepTrace, _: &mut Vec<Emit<()>>, acc: &mut (u64, u64, u64)| {
+        |u: u32, ss: &mut SuperstepTrace, _: &mut Vec<Emit<()>>, acc: &mut (u64, u64, u64)| {
             let vu = p.vault_of(u);
-            charge_scan(&mut local.vaults[vu as usize], 1, 0);
+            charge_scan(&mut ss.vaults[vu as usize], 1, 0);
             scan_edge_pages(g, p, u, |sv, chunk| {
-                charge_scan(&mut local.vaults[sv as usize], 0, chunk.len() as u64);
+                charge_scan(&mut ss.vaults[sv as usize], 0, chunk.len() as u64);
                 for &w in chunk {
                     let (pu, pw) = (in_partition(u), in_partition(w));
                     if pu != pw {
@@ -358,7 +344,7 @@ pub fn run_conductance(g: &Graph, p: &VertexPartition) -> (KernelOutput, Executi
                 }
             });
         };
-    let (ss, accs) = run_superstep(p, &vertices, &mut dedup, &mut groups, &scan, |_| {});
+    let (ss, accs) = run_superstep(p, &vertices, &mut dedup, &mut groups, scan, |_| {});
     let (cut, vol_s, vol_t) = accs
         .iter()
         .fold((0u64, 0u64, 0u64), |t, a| (t.0 + a.0, t.1 + a.1, t.2 + a.2));
@@ -391,17 +377,17 @@ pub fn run_pagerank(g: &Graph, p: &VertexPartition, iters: u32) -> (KernelOutput
         let mut next = vec![(1.0 - d) / n as f64; n];
         let rank_snapshot = &rank;
         let scan =
-            |u: u32, local: &mut SuperstepTrace, emits: &mut Vec<Emit<f64>>, dangling: &mut f64| {
+            |u: u32, ss: &mut SuperstepTrace, emits: &mut Vec<Emit<f64>>, dangling: &mut f64| {
                 let vu = p.vault_of(u);
                 let deg = g.out_degree(u as usize);
-                charge_scan(&mut local.vaults[vu as usize], 1, 0);
+                charge_scan(&mut ss.vaults[vu as usize], 1, 0);
                 if deg == 0 {
                     *dangling += rank_snapshot[u as usize];
                     return;
                 }
                 let share = d * rank_snapshot[u as usize] / deg as f64;
                 scan_edge_pages(g, p, u, |sv, chunk| {
-                    charge_scan(&mut local.vaults[sv as usize], 0, chunk.len() as u64);
+                    charge_scan(&mut ss.vaults[sv as usize], 0, chunk.len() as u64);
                     for &w in chunk {
                         emits.push(Emit {
                             src_vault: sv,
@@ -412,7 +398,7 @@ pub fn run_pagerank(g: &Graph, p: &VertexPartition, iters: u32) -> (KernelOutput
                     }
                 });
             };
-        let (ss, danglings) = run_superstep(p, &vertices, &mut dedup, &mut groups, &scan, |e| {
+        let (ss, danglings) = run_superstep(p, &vertices, &mut dedup, &mut groups, scan, |e| {
             next[e.target as usize] += e.msg;
         });
         let dangling: f64 = danglings.iter().sum();
@@ -453,11 +439,11 @@ pub fn run_sssp(g: &Graph, p: &VertexPartition, source: u32) -> (KernelOutput, E
     let mut level = 0u32;
     while !frontier.is_empty() {
         let nd = level + 1;
-        let scan = |u: u32, local: &mut SuperstepTrace, emits: &mut Vec<Emit<()>>, _: &mut ()| {
+        let scan = |u: u32, ss: &mut SuperstepTrace, emits: &mut Vec<Emit<()>>, _: &mut ()| {
             let vu = p.vault_of(u);
-            charge_scan(&mut local.vaults[vu as usize], 1, 0);
+            charge_scan(&mut ss.vaults[vu as usize], 1, 0);
             scan_edge_pages(g, p, u, |sv, chunk| {
-                charge_scan(&mut local.vaults[sv as usize], 0, chunk.len() as u64);
+                charge_scan(&mut ss.vaults[sv as usize], 0, chunk.len() as u64);
                 for &w in chunk {
                     emits.push(Emit {
                         src_vault: sv,
@@ -469,7 +455,7 @@ pub fn run_sssp(g: &Graph, p: &VertexPartition, source: u32) -> (KernelOutput, E
             });
         };
         let mut next = Vec::new();
-        let (ss, _) = run_superstep(p, &frontier, &mut dedup, &mut groups, &scan, |e| {
+        let (ss, _) = run_superstep(p, &frontier, &mut dedup, &mut groups, scan, |e| {
             let w = e.target as usize;
             if dist[w] > nd {
                 dist[w] = nd;
@@ -515,14 +501,14 @@ pub fn run_sssp_weighted(
     let mut groups = VaultGroups::default();
     while !frontier.is_empty() {
         // Synchronous Bellman-Ford: scans relax against the superstep-start
-        // snapshot, and improvements land at the barrier.
+        // snapshot, so no scan sees an improvement made this superstep.
         let dist_snapshot = dist.clone();
-        let scan = |u: u32, local: &mut SuperstepTrace, emits: &mut Vec<Emit<u64>>, _: &mut ()| {
+        let scan = |u: u32, ss: &mut SuperstepTrace, emits: &mut Vec<Emit<u64>>, _: &mut ()| {
             let vu = p.vault_of(u);
-            charge_scan(&mut local.vaults[vu as usize], 1, 0);
+            charge_scan(&mut ss.vaults[vu as usize], 1, 0);
             let du = dist_snapshot[u as usize];
             scan_edge_pages(g, p, u, |sv, chunk| {
-                charge_scan(&mut local.vaults[sv as usize], 0, chunk.len() as u64);
+                charge_scan(&mut ss.vaults[sv as usize], 0, chunk.len() as u64);
                 for &w in chunk {
                     emits.push(Emit {
                         src_vault: sv,
@@ -534,7 +520,7 @@ pub fn run_sssp_weighted(
             });
         };
         let mut improved = vec![false; n];
-        let (ss, _) = run_superstep(p, &frontier, &mut dedup, &mut groups, &scan, |e| {
+        let (ss, _) = run_superstep(p, &frontier, &mut dedup, &mut groups, scan, |e| {
             let w = e.target as usize;
             if e.msg < dist[w] {
                 dist[w] = e.msg;
@@ -569,32 +555,31 @@ pub fn run_vertex_cover(g: &Graph, p: &VertexPartition) -> (KernelOutput, Execut
         let mut proposal = vec![u32::MAX; n];
         let uncovered: Vec<u32> = (0..n as u32).filter(|&u| !in_cover[u as usize]).collect();
         let cover_snapshot = &in_cover;
-        let scan =
-            |u: u32, local: &mut SuperstepTrace, emits: &mut Vec<Emit<u32>>, any: &mut bool| {
-                let vu = p.vault_of(u);
-                charge_scan(&mut local.vaults[vu as usize], 1, 0);
-                let mut best = u32::MAX;
-                scan_edge_pages(g, p, u, |sv, chunk| {
-                    charge_scan(&mut local.vaults[sv as usize], 0, chunk.len() as u64);
-                    for &w in chunk {
-                        if w != u && !cover_snapshot[w as usize] {
-                            *any = true;
-                            if w < best {
-                                best = w;
-                            }
+        let scan = |u: u32, ss: &mut SuperstepTrace, emits: &mut Vec<Emit<u32>>, any: &mut bool| {
+            let vu = p.vault_of(u);
+            charge_scan(&mut ss.vaults[vu as usize], 1, 0);
+            let mut best = u32::MAX;
+            scan_edge_pages(g, p, u, |sv, chunk| {
+                charge_scan(&mut ss.vaults[sv as usize], 0, chunk.len() as u64);
+                for &w in chunk {
+                    if w != u && !cover_snapshot[w as usize] {
+                        *any = true;
+                        if w < best {
+                            best = w;
                         }
                     }
-                });
-                if best != u32::MAX {
-                    emits.push(Emit {
-                        src_vault: vu,
-                        dst_vault: p.vault_of(best),
-                        target: best,
-                        msg: u,
-                    });
                 }
-            };
-        let (ss, anys) = run_superstep(p, &uncovered, &mut dedup, &mut groups, &scan, |e| {
+            });
+            if best != u32::MAX {
+                emits.push(Emit {
+                    src_vault: vu,
+                    dst_vault: p.vault_of(best),
+                    target: best,
+                    msg: u,
+                });
+            }
+        };
+        let (ss, anys) = run_superstep(p, &uncovered, &mut dedup, &mut groups, scan, |e| {
             proposal[e.msg as usize] = e.target;
         });
         let any_uncovered_edge = anys.into_iter().any(|b| b);

@@ -9,10 +9,8 @@
 //! barrier advances by the slowest vault's time — reproducing the
 //! engine's bulk-synchronous semantics as a waterfall.
 //!
-//! Like [`crate::telemetry`], this lowers from the already
-//! thread-count-invariant trace after the run, so the vault-parallel
-//! superstep loop needs no instrumentation and no shard/merge
-//! argument.
+//! Like [`crate::telemetry`], this lowers from the finished trace after
+//! the run, so the superstep loop needs no instrumentation.
 
 use crate::config::TesseractConfig;
 use crate::engine::ExecutionTrace;

@@ -2,10 +2,8 @@
 //!
 //! Tesseract's engine already produces a deterministic per-superstep,
 //! per-vault counter trace; this module folds that trace into a
-//! [`TelemetrySink`] registry after the run, so the vault-parallel
-//! superstep loop needs no instrumentation of its own (and therefore
-//! no shard/merge argument — the trace it lowers from is already
-//! proven thread-count invariant).
+//! [`TelemetrySink`] registry after the run, so the superstep loop
+//! needs no instrumentation of its own.
 
 use crate::engine::ExecutionTrace;
 use pim_telemetry::{TelemetrySink, POW2_BOUNDS};
