@@ -2,12 +2,30 @@
 //! execution trace on a fixed graph and partition reduce to a 64-bit
 //! fingerprint (floats by their bits), so any change to the order in
 //! which scans, message charges or applies run shows up as a changed
-//! fingerprint, not only as a drifted tolerance.
+//! fingerprint, not only as a drifted tolerance. Runs on 1, 2, 4 and 8
+//! concurrent host threads sharing one graph must also agree exactly,
+//! so the engine keeps no state shared between runs.
 
 use pim_tesseract::engine::run_kernel;
 use pim_tesseract::{run_sssp_weighted, ExecutionTrace, KernelOutput, VertexPartition};
 use pim_workloads::{Graph, KernelKind};
 use rand::SeedableRng;
+
+fn eval_graph() -> Graph {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(42);
+    Graph::rmat(12, 8, &mut rng)
+}
+
+/// Runs `f` on `n` host threads at once and returns every result.
+fn on_threads<T: Send>(n: usize, f: impl Fn() -> T + Sync) -> Vec<T> {
+    std::thread::scope(|s| {
+        let handles: Vec<_> = (0..n).map(|_| s.spawn(&f)).collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("run"))
+            .collect()
+    })
+}
 
 /// FNV-1a over little-endian words.
 struct Fingerprint(u64);
@@ -80,8 +98,7 @@ impl Fingerprint {
 
 #[test]
 fn kernel_results_match_pinned_fingerprints() {
-    let mut rng = rand::rngs::StdRng::seed_from_u64(42);
-    let g = Graph::rmat(12, 8, &mut rng);
+    let g = eval_graph();
     let p = VertexPartition::new(32, 16);
     let mut got = Vec::new();
     for kind in KernelKind::ALL {
@@ -109,5 +126,33 @@ fn kernel_results_match_pinned_fingerprints() {
     for ((name, fp), (want_name, want)) in got.iter().zip(expect) {
         assert_eq!(name, want_name);
         assert_eq!(*fp, want, "{name}: fingerprint {fp:#018x} changed");
+    }
+}
+
+#[test]
+fn kernel_runs_identical_across_thread_counts() {
+    let g = eval_graph();
+    let p = VertexPartition::new(32, 16);
+    for kind in KernelKind::ALL {
+        let base = run_kernel(kind, &g, &p);
+        for threads in [1usize, 2, 4, 8] {
+            for (out, trace) in on_threads(threads, || run_kernel(kind, &g, &p)) {
+                assert_eq!(base.0, out, "{kind}: output differs at {threads} threads");
+                assert_eq!(base.1, trace, "{kind}: trace differs at {threads} threads");
+            }
+        }
+    }
+}
+
+#[test]
+fn weighted_sssp_identical_across_thread_counts() {
+    let g = eval_graph();
+    let p = VertexPartition::new(32, 16);
+    let base = run_sssp_weighted(&g, &p, 0);
+    for threads in [1usize, 2, 4, 8] {
+        for (dist, trace) in on_threads(threads, || run_sssp_weighted(&g, &p, 0)) {
+            assert_eq!(base.0, dist, "distances differ at {threads} threads");
+            assert_eq!(base.1, trace, "trace differs at {threads} threads");
+        }
     }
 }
