@@ -159,6 +159,87 @@ impl BitSlicedIntVec {
         );
     }
 
+    /// The lanes in `range`, still bit-sliced. A range that starts on a
+    /// word boundary copies whole words; any other start shifts each
+    /// plane across word boundaries.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `range` is reversed or ends past `len`.
+    pub fn slice_lanes(&self, range: std::ops::Range<usize>) -> Self {
+        assert!(
+            range.start <= range.end && range.end <= self.len,
+            "lane range {range:?} out of 0..{}",
+            self.len
+        );
+        let len = range.end - range.start;
+        let (skip, shift) = (range.start / 64, range.start % 64);
+        let planes = self
+            .planes
+            .iter()
+            .map(|plane| {
+                let words = &plane.as_words()[skip..];
+                let n = len.div_ceil(64);
+                let out = if shift == 0 {
+                    words[..n].to_vec()
+                } else {
+                    (0..n)
+                        .map(|i| {
+                            let next = words.get(i + 1).map_or(0, |w| w << (64 - shift));
+                            (words[i] >> shift) | next
+                        })
+                        .collect()
+                };
+                BitVec::from_words(out, len)
+            })
+            .collect();
+        BitSlicedIntVec {
+            planes,
+            bits: self.bits,
+            len,
+        }
+    }
+
+    /// The lanes of every part, in order, as one vector. A part that
+    /// starts on a word boundary copies whole words; any other start
+    /// shifts each plane across word boundaries.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `parts` is empty or the widths differ.
+    pub fn concat(parts: &[&BitSlicedIntVec]) -> Self {
+        let bits = parts.first().expect("need at least one part").bits;
+        assert!(
+            parts.iter().all(|p| p.bits == bits),
+            "part widths must match"
+        );
+        let len: usize = parts.iter().map(|p| p.len).sum();
+        let planes = (0..bits as usize)
+            .map(|b| {
+                let mut out: Vec<u64> = Vec::with_capacity(len.div_ceil(64));
+                let mut at = 0;
+                for p in parts {
+                    let words = &p.planes[b].as_words()[..p.len.div_ceil(64)];
+                    let shift = at % 64;
+                    if shift == 0 {
+                        out.extend_from_slice(words);
+                    } else {
+                        // Bits past a plane's length are zero, so OR-ing
+                        // into the open last word keeps the lanes before.
+                        for &w in words {
+                            *out.last_mut().expect("an open word") |= w << shift;
+                            out.push(w >> (64 - shift));
+                        }
+                    }
+                    at += p.len;
+                    out.truncate(at.div_ceil(64));
+                }
+                BitVec::from_words(out, len)
+            })
+            .collect();
+        BitSlicedIntVec { planes, bits, len }
+    }
+
     /// The per-bit slicing the transpose replaces, kept as its oracle.
     #[cfg(test)]
     fn from_values_per_bit(values: &[u64], bits: u32) -> Self {
@@ -580,6 +661,48 @@ mod tests {
                 prop_assert_eq!(&fast, &slow, "slicing at {} bits", bits);
                 prop_assert_eq!(slow.to_values(), slow.to_values_per_bit());
                 prop_assert_eq!(fast.to_values(), vals);
+            }
+        }
+
+        /// Slicing and concatenating lanes equal the same cut of the
+        /// values, re-sliced, at every width and at ragged lengths and
+        /// offsets.
+        #[test]
+        fn lane_slices_and_concat_match_value_oracle(
+            lanes in prop_oneof![Just(0usize), Just(1), Just(64), Just(129), 2usize..300],
+            cut in (any::<usize>(), any::<usize>()),
+            parts in prop::collection::vec(0usize..140, 0..4),
+            seed in any::<u64>(),
+        ) {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            for bits in 1..=64u32 {
+                let mask = 1u64.checked_shl(bits).unwrap_or(0).wrapping_sub(1);
+                let mut draw = |n: usize| -> Vec<u64> {
+                    (0..n).map(|_| rng.gen::<u64>() & mask).collect()
+                };
+                let vals = draw(lanes);
+                let v = BitSlicedIntVec::from_values(&vals, bits);
+                let (a, b) = (cut.0 % (lanes + 1), cut.1 % (lanes + 1));
+                let (lo, hi) = (a.min(b), a.max(b));
+                prop_assert_eq!(
+                    v.slice_lanes(lo..hi),
+                    BitSlicedIntVec::from_values(&v.to_values()[lo..hi], bits),
+                    "slice {}..{} at {} bits", lo, hi, bits
+                );
+
+                let more: Vec<Vec<u64>> = parts.iter().map(|&n| draw(n)).collect();
+                let sliced: Vec<BitSlicedIntVec> = more
+                    .iter()
+                    .map(|m| BitSlicedIntVec::from_values(m, bits))
+                    .collect();
+                let refs: Vec<&BitSlicedIntVec> =
+                    std::iter::once(&v).chain(&sliced).collect();
+                let joined: Vec<u64> = refs.iter().flat_map(|p| p.to_values()).collect();
+                prop_assert_eq!(
+                    BitSlicedIntVec::concat(&refs),
+                    BitSlicedIntVec::from_values(&joined, bits),
+                    "concat of {} parts at {} bits", refs.len(), bits
+                );
             }
         }
 
