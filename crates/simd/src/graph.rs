@@ -27,7 +27,7 @@ pub const MAX_INPUT_WIDTH: u32 = 64;
 pub struct NodeId(pub(crate) u32);
 
 /// One operation of the graph.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum GraphOp {
     /// An external input operand.
     Input {
@@ -75,7 +75,7 @@ pub enum GraphOp {
     Extend(NodeId),
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub(crate) struct Node {
     pub(crate) op: GraphOp,
     pub(crate) width: u32,
@@ -85,7 +85,10 @@ pub(crate) struct Node {
 /// [`OpGraphBuilder`], compile it with
 /// [`Compiler`](crate::Compiler), or evaluate it on the host with
 /// [`OpGraph::eval_reference`].
-#[derive(Debug, Clone)]
+///
+/// Two graphs compare (and hash) equal when they have the same nodes,
+/// input widths and outputs, so they compile to the same program.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct OpGraph {
     pub(crate) nodes: Vec<Node>,
     pub(crate) input_widths: Vec<u32>,

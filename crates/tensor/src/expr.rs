@@ -11,9 +11,10 @@
 //! without recomputation.
 
 use crate::elem::{PimElem, WidenMul};
+use pim_workloads::BitSlicedIntVec;
 use std::marker::PhantomData;
 use std::ops;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Binary operations the DAG records (mirroring `pim_simd::GraphOp`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -38,12 +39,37 @@ pub(crate) enum UnOp {
     Extend,
 }
 
+/// A source's lanes: `u64` values until the first evaluation slices
+/// them, then only the bit-sliced vector, which every later job shares.
+#[derive(Debug)]
+pub(crate) struct SourceLanes(Mutex<Lanes>);
+
+#[derive(Debug)]
+enum Lanes {
+    Values(Vec<u64>),
+    Sliced(Arc<BitSlicedIntVec>),
+}
+
+impl SourceLanes {
+    /// The lanes bit-sliced at `width`; the first call slices them and
+    /// drops the `u64` values.
+    pub(crate) fn sliced(&self, width: u32) -> Arc<BitSlicedIntVec> {
+        let mut lanes = self.0.lock().expect("no slicing panics");
+        let sliced = match &*lanes {
+            Lanes::Sliced(s) => return s.clone(),
+            Lanes::Values(vals) => Arc::new(BitSlicedIntVec::from_values(vals, width)),
+        };
+        *lanes = Lanes::Sliced(sliced.clone());
+        sliced
+    }
+}
+
 /// One DAG node. Widths are fixed at construction; lane counts are a
 /// property of the tensor handles, checked when handles combine.
 #[derive(Debug)]
 pub(crate) enum Expr {
     /// A materialized lane vector (values already masked to `width`).
-    Source { data: Arc<Vec<u64>>, width: u32 },
+    Source { lanes: SourceLanes, width: u32 },
     /// The same value in every lane.
     Splat { value: u64, width: u32 },
     /// A binary operation; `width` is the result width.
@@ -137,12 +163,8 @@ impl<T: PimElem> PimTensor<T> {
 
     /// A tensor over `data`'s values.
     pub fn from_slice(data: &[T]) -> Self {
-        let vals: Vec<u64> = data.iter().map(|v| v.to_u64()).collect();
-        let expr = Arc::new(Expr::Source {
-            data: Arc::new(vals),
-            width: T::BITS,
-        });
-        Self::wrap(expr, data.len())
+        let vals = data.iter().map(|v| v.to_u64()).collect();
+        Self::source(Lanes::Values(vals), data.len())
     }
 
     /// A tensor over pre-converted `u64` lane values.
@@ -157,8 +179,24 @@ impl<T: PimElem> PimTensor<T> {
             T::BITS
         );
         let len = vals.len();
+        Self::source(Lanes::Values(vals), len)
+    }
+
+    /// A tensor over lanes already bit-sliced at `T`'s width.
+    pub(crate) fn from_sliced(sliced: BitSlicedIntVec) -> Self {
+        assert_eq!(
+            sliced.bits(),
+            T::BITS,
+            "sliced lanes must be {} bits",
+            T::BITS
+        );
+        let len = sliced.len();
+        Self::source(Lanes::Sliced(Arc::new(sliced)), len)
+    }
+
+    fn source(lanes: Lanes, len: usize) -> Self {
         let expr = Arc::new(Expr::Source {
-            data: Arc::new(vals),
+            lanes: SourceLanes(Mutex::new(lanes)),
             width: T::BITS,
         });
         Self::wrap(expr, len)

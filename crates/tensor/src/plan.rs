@@ -2,17 +2,20 @@
 //! compiled programs.
 //!
 //! Lowering walks the `Arc`-shared DAG once, deduplicating nodes by
-//! pointer identity (a tensor used twice lowers to one graph node) and
-//! source payloads by data pointer (one graph input per distinct
-//! buffer). The whole multi-root fusion then compiles through
-//! [`pim_simd::compile_staged`], which splits on `ScratchExhausted` into
-//! a pipeline of independently schedulable programs. Tiling — cutting
-//! the lane axis into bank-parallel slices — is the session's job; the
-//! plan only fixes the per-tile program shapes.
+//! pointer identity: a tensor used twice lowers to one graph node, and a
+//! source to one graph input. Each source hands over its bit-sliced
+//! lanes, slicing them on its first evaluation. The whole multi-root
+//! fusion then compiles through [`pim_simd::compile_staged`], which
+//! splits on `ScratchExhausted` into a pipeline of independently
+//! schedulable programs — once per distinct `(graph, budget)` in a
+//! [`PlanCache`], since compilation depends on nothing else. Tiling —
+//! cutting the lane axis into bank-parallel slices — is the session's
+//! job; the plan only fixes the per-tile program shapes.
 
 use crate::error::Result;
 use crate::expr::{BinOp, Expr, ExprRef, UnOp};
 use pim_simd::{compile_staged, CompiledProgram, NodeId, OpGraph, OpGraphBuilder, StageBinding};
+use pim_workloads::BitSlicedIntVec;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -24,18 +27,69 @@ pub(crate) struct PlanStage {
     pub bindings: Vec<StageBinding>,
 }
 
-/// A compiled multi-root tensor computation, ready to run tile by tile.
+/// What compiling a fused graph yields, shared by every plan of the
+/// same graph and budget.
 #[derive(Debug)]
-pub(crate) struct Plan {
-    /// The fused graph (node count and output widths feed telemetry and
-    /// gather).
-    pub graph: OpGraph,
-    /// Source payload per graph input, in input order.
-    pub sources: Vec<Arc<Vec<u64>>>,
+pub(crate) struct Compiled {
     /// Compiled stages in execution order.
     pub stages: Vec<PlanStage>,
     /// For each root: which `(stage, output)` materializes it.
     pub outputs: Vec<(usize, usize)>,
+}
+
+/// A compiled multi-root tensor computation, ready to run tile by tile.
+#[derive(Debug)]
+pub(crate) struct Plan {
+    /// Node count of the fused graph (telemetry).
+    pub nodes: usize,
+    /// Bit-sliced lanes per graph input, in input order.
+    pub sources: Vec<Arc<BitSlicedIntVec>>,
+    pub compiled: Arc<Compiled>,
+}
+
+/// Most distinct compilations a [`PlanCache`] holds. Full, it starts
+/// over, so a caller sweeping splat constants (each a new graph) cannot
+/// grow it without bound.
+pub(crate) const PLAN_CACHE_CAP: usize = 64;
+
+/// Compiled stages per distinct `(fused graph, scratch budget)`: the
+/// whole input of [`compile_staged`], so a hit is the program a fresh
+/// compile would build.
+#[derive(Debug, Default)]
+pub(crate) struct PlanCache {
+    map: HashMap<(OpGraph, u32), Arc<Compiled>>,
+}
+
+impl PlanCache {
+    fn get_or_compile(&mut self, graph: OpGraph, budget: u32) -> Result<Arc<Compiled>> {
+        let key = (graph, budget);
+        if let Some(hit) = self.map.get(&key) {
+            return Ok(hit.clone());
+        }
+        let staged = compile_staged(&key.0, budget)?;
+        let compiled = Arc::new(Compiled {
+            stages: staged
+                .stages
+                .into_iter()
+                .map(|s| PlanStage {
+                    program: Arc::new(s.program),
+                    bindings: s.bindings,
+                })
+                .collect(),
+            outputs: staged.outputs,
+        });
+        if self.map.len() >= PLAN_CACHE_CAP {
+            self.map.clear();
+        }
+        self.map.insert(key, compiled.clone());
+        Ok(compiled)
+    }
+
+    /// Every cached compilation, in no particular order.
+    #[cfg(test)]
+    pub fn entries(&self) -> Vec<Arc<Compiled>> {
+        self.map.values().cloned().collect()
+    }
 }
 
 #[derive(Default)]
@@ -43,9 +97,7 @@ struct Lowering {
     builder: OpGraphBuilder,
     /// Expression node (by pointer) → graph node.
     memo: HashMap<usize, NodeId>,
-    /// Source payload (by data pointer) → graph node.
-    source_memo: HashMap<usize, NodeId>,
-    sources: Vec<Arc<Vec<u64>>>,
+    sources: Vec<Arc<BitSlicedIntVec>>,
 }
 
 impl Lowering {
@@ -55,17 +107,9 @@ impl Lowering {
             return n;
         }
         let n = match &**e {
-            Expr::Source { data, width } => {
-                let skey = Arc::as_ptr(data) as usize;
-                match self.source_memo.get(&skey) {
-                    Some(&n) => n,
-                    None => {
-                        let n = self.builder.input(*width);
-                        self.source_memo.insert(skey, n);
-                        self.sources.push(data.clone());
-                        n
-                    }
-                }
+            Expr::Source { lanes, width } => {
+                self.sources.push(lanes.sliced(*width));
+                self.builder.input(*width)
             }
             Expr::Splat { value, width } => self.builder.constant(*value, *width),
             Expr::Binary { op, a, b, .. } => {
@@ -99,7 +143,8 @@ impl Lowering {
 impl Plan {
     /// Fuses `roots` into one graph and compiles it under `budget`
     /// scratch rows, splitting into stages where the budget demands.
-    pub fn build(roots: &[ExprRef], budget: u32) -> Result<Plan> {
+    /// Lowering runs every call; compilation only on a `cache` miss.
+    pub fn build(roots: &[ExprRef], budget: u32, cache: &mut PlanCache) -> Result<Plan> {
         let mut lw = Lowering::default();
         let ids: Vec<NodeId> = roots.iter().map(|r| lw.lower(r)).collect();
         let mut builder = lw.builder;
@@ -107,25 +152,15 @@ impl Plan {
             builder.output(id);
         }
         let graph = builder.finish();
-        let staged = compile_staged(&graph, budget)?;
-        let stages = staged
-            .stages
-            .into_iter()
-            .map(|s| PlanStage {
-                program: Arc::new(s.program),
-                bindings: s.bindings,
-            })
-            .collect();
         Ok(Plan {
-            graph,
+            nodes: graph.len(),
             sources: lw.sources,
-            stages,
-            outputs: staged.outputs,
+            compiled: cache.get_or_compile(graph, budget)?,
         })
     }
 
     /// Stage-split events (stages beyond the first).
     pub fn splits(&self) -> usize {
-        self.stages.len().saturating_sub(1)
+        self.compiled.stages.len().saturating_sub(1)
     }
 }

@@ -3,19 +3,27 @@
 //!
 //! A session owns a [`Runtime`] and a [`TensorConfig`]. Evaluating a
 //! root (a) fuses its DAG into one multi-output graph, (b) compiles it —
-//! splitting into stages when peak scratch liveness exceeds the budget,
-//! (c) cuts the lane axis into bank-parallel tiles sized so every tile's
-//! chunks occupy distinct banks, and (d) submits one `Job::SimdProgram`
-//! per (tile, stage) with the configured placement — advised by default,
-//! so the offload advisor routes each program to DRAM or the host
+//! splitting into stages when peak scratch liveness exceeds the budget —
+//! or, when the session already compiled the same graph under the same
+//! budget, reuses that compilation from its plan cache, (c) cuts the
+//! lane axis into bank-parallel tiles sized so every tile's chunks
+//! occupy distinct banks, and (d) submits one `Job::SimdProgram` per
+//! (tile, stage) with the configured placement — advised by default, so
+//! the offload advisor routes each program to DRAM or the host
 //! vectorized loop by compiled cost (wide multiplies stay on the host,
 //! per E11). Tile outputs gather back in lane order, bit-exactly equal
 //! at any tile size or thread count.
+//!
+//! Lanes stay bit-sliced from the first evaluation to the host: a source
+//! slices its lanes once, the first time any root reads it, and every
+//! later job (and tile, by lane range) shares that vector. Reductions
+//! halve their gathered result by lane range level after level, and
+//! only the last `reduce_tail` lanes are read back as `u64` values.
 
 use crate::elem::PimElem;
 use crate::error::{Result, TensorError};
 use crate::expr::{ExprRef, PimMask, PimTensor};
-use crate::plan::Plan;
+use crate::plan::{Plan, PlanCache};
 use pim_ambit::AmbitConfig;
 use pim_host::{CpuConfig, CpuModel};
 use pim_runtime::{
@@ -24,7 +32,7 @@ use pim_runtime::{
 };
 use pim_simd::DEFAULT_SCRATCH_BUDGET;
 use pim_telemetry::{TelemetrySink, POW2_BOUNDS};
-use pim_workloads::BitSlicedIntVec;
+use pim_workloads::{BitSlicedIntVec, BitVec};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -61,6 +69,7 @@ impl Default for TensorConfig {
 pub struct TensorSession {
     runtime: Runtime,
     config: TensorConfig,
+    plans: PlanCache,
     telemetry: Option<TelemetrySink>,
     decisions: Vec<PlacementDecision>,
     modeled_ns: f64,
@@ -73,6 +82,7 @@ impl TensorSession {
         TensorSession {
             runtime,
             config,
+            plans: PlanCache::default(),
             telemetry: None,
             decisions: Vec::new(),
             modeled_ns: 0.0,
@@ -113,7 +123,8 @@ impl TensorSession {
 
     /// Mutable access to the configuration, e.g. to switch the advisor
     /// objective on a preset session. Takes effect at the next
-    /// evaluation; in-flight plans are unaffected.
+    /// evaluation; in-flight plans are unaffected. A new
+    /// `scratch_budget` compiles afresh: the plan cache keys on it.
     pub fn config_mut(&mut self) -> &mut TensorConfig {
         &mut self.config
     }
@@ -169,7 +180,8 @@ impl TensorSession {
     /// Evaluates a tensor to its lane values.
     pub fn eval<T: PimElem>(&mut self, t: &PimTensor<T>) -> Result<Vec<T>> {
         Ok(self
-            .eval_raw(&t.expr, t.len)?
+            .run_root(&t.expr, t.len)?
+            .to_values()
             .into_iter()
             .map(T::from_u64)
             .collect())
@@ -189,32 +201,30 @@ impl TensorSession {
     /// Sum of every lane, exact: lanes widen to 64 bits, then tree-halve
     /// through in-DRAM adds down to the host tail.
     pub fn sum<T: PimElem>(&mut self, t: &PimTensor<T>) -> Result<u64> {
-        let wide: PimTensor<u64> = t.widen();
-        let vals = self.eval_raw(&wide.expr, wide.len)?;
-        self.tree_reduce(vals, 0, |a, b| a + b)
+        self.tree_reduce::<u64>(&t.widen(), 0, |a, b| a + b)
     }
 
     /// Bitwise AND across every lane.
     pub fn reduce_and<T: PimElem>(&mut self, t: &PimTensor<T>) -> Result<T> {
-        let v = self.tree_reduce_at::<T>(t, T::MAX_U64, |a, b| a & b)?;
+        let v = self.tree_reduce(t, T::MAX_U64, |a, b| a & b)?;
         Ok(T::from_u64(v))
     }
 
     /// Bitwise OR across every lane.
     pub fn reduce_or<T: PimElem>(&mut self, t: &PimTensor<T>) -> Result<T> {
-        let v = self.tree_reduce_at::<T>(t, 0, |a, b| a | b)?;
+        let v = self.tree_reduce(t, 0, |a, b| a | b)?;
         Ok(T::from_u64(v))
     }
 
     /// Bitwise XOR across every lane.
     pub fn reduce_xor<T: PimElem>(&mut self, t: &PimTensor<T>) -> Result<T> {
-        let v = self.tree_reduce_at::<T>(t, 0, |a, b| a ^ b)?;
+        let v = self.tree_reduce(t, 0, |a, b| a ^ b)?;
         Ok(T::from_u64(v))
     }
 
     /// Minimum lane value, via `lt` + branch-free select trees.
     pub fn min<T: PimElem>(&mut self, t: &PimTensor<T>) -> Result<T> {
-        let v = self.tree_reduce_at::<T>(t, T::MAX_U64, |a, b| a.lt(b).select(a, b))?;
+        let v = self.tree_reduce(t, T::MAX_U64, |a, b| a.lt(b).select(a, b))?;
         Ok(T::from_u64(v))
     }
 
@@ -239,11 +249,6 @@ impl TensorSession {
         Ok(per_bin.iter().map(Gathered::count_ones).collect())
     }
 
-    /// Evaluates one root expression to raw `u64` lanes.
-    fn eval_raw(&mut self, expr: &ExprRef, lanes: usize) -> Result<Vec<u64>> {
-        Ok(self.run_root(expr, lanes)?.to_values())
-    }
-
     /// Plans and executes one root expression.
     fn run_root(&mut self, expr: &ExprRef, lanes: usize) -> Result<Gathered> {
         Ok(self
@@ -252,70 +257,41 @@ impl TensorSession {
             .expect("one root gathers one result"))
     }
 
-    /// In-DRAM tree reduction over raw 64-bit lanes: split, pad with the
-    /// identity, combine halves with `op`, repeat to the host tail.
-    fn tree_reduce(
-        &mut self,
-        mut vals: Vec<u64>,
-        identity: u64,
-        op: impl Fn(&PimTensor<u64>, &PimTensor<u64>) -> PimTensor<u64>,
-    ) -> Result<u64> {
-        let tail = self.config.reduce_tail.max(1);
-        while vals.len() > tail {
-            let half = vals.len().div_ceil(2);
-            let hi: Vec<u64> = vals[half..]
-                .iter()
-                .copied()
-                .chain(std::iter::repeat(identity))
-                .take(half)
-                .collect();
-            vals.truncate(half);
-            let a = PimTensor::<u64>::from_u64_values(vals);
-            let b = PimTensor::<u64>::from_u64_values(hi);
-            let combined = op(&a, &b);
-            vals = self.eval_raw(&combined.expr, combined.len)?;
-        }
-        let mut acc = identity;
-        for &v in &vals {
-            // The tail folds through the same recorded op; splat operands
-            // make the expression source-free, so `run_roots` const-folds
-            // it on the host — one semantics everywhere, no 1-lane jobs.
-            let ta = PimTensor::<u64>::splat(acc, 1);
-            let tb = PimTensor::<u64>::splat(v, 1);
-            acc = self.eval_raw(&op(&ta, &tb).expr, 1)?[0];
-        }
-        Ok(acc)
-    }
-
-    /// Tree reduction at `T`'s own width (logic ops and min, which never
-    /// overflow their lanes).
-    fn tree_reduce_at<T: PimElem>(
+    /// In-DRAM tree reduction at `T`'s width, bit-sliced throughout:
+    /// each level cuts the lanes in half by range, pads the high half
+    /// with `identity`, and combines the halves with `op` — the same
+    /// graph at every level, so only the first level compiles. The
+    /// lanes left at the host tail fold on the host.
+    fn tree_reduce<T: PimElem>(
         &mut self,
         t: &PimTensor<T>,
         identity: u64,
         op: impl Fn(&PimTensor<T>, &PimTensor<T>) -> PimTensor<T>,
     ) -> Result<u64> {
-        let mut vals = self.eval_raw(&t.expr, t.len)?;
+        let mut lanes = self.run_root(&t.expr, t.len)?.into_sliced(T::BITS);
         let tail = self.config.reduce_tail.max(1);
-        while vals.len() > tail {
-            let half = vals.len().div_ceil(2);
-            let hi: Vec<u64> = vals[half..]
-                .iter()
-                .copied()
-                .chain(std::iter::repeat(identity))
-                .take(half)
-                .collect();
-            vals.truncate(half);
-            let a = PimTensor::<T>::from_u64_values(vals);
-            let b = PimTensor::<T>::from_u64_values(hi);
-            let combined = op(&a, &b);
-            vals = self.eval_raw(&combined.expr, combined.len)?;
+        while lanes.len() > tail {
+            let half = lanes.len().div_ceil(2);
+            let lo = lanes.slice_lanes(0..half);
+            let mut hi = lanes.slice_lanes(half..lanes.len());
+            if hi.len() < half {
+                let pad = splat_sliced(identity, T::BITS, half - hi.len());
+                hi = BitSlicedIntVec::concat(&[&hi, &pad]);
+            }
+            let combined = op(&PimTensor::from_sliced(lo), &PimTensor::from_sliced(hi));
+            lanes = self.run_root(&combined.expr, half)?.into_sliced(T::BITS);
         }
+        // The tail folds through the same recorded op; splat operands
+        // make it source-free, so it folds as a constant — one semantics
+        // everywhere, no 1-lane jobs.
         let mut acc = identity;
-        for &v in &vals {
+        for v in lanes.to_values() {
             let ta = PimTensor::<T>::splat(T::from_u64(acc), 1);
             let tb = PimTensor::<T>::splat(T::from_u64(v), 1);
-            acc = self.eval_raw(&op(&ta, &tb).expr, 1)?[0];
+            acc = op(&ta, &tb)
+                .expr
+                .const_value()
+                .expect("splat operands fold");
         }
         Ok(acc)
     }
@@ -336,7 +312,7 @@ impl TensorSession {
                 .collect());
         }
 
-        let plan = Plan::build(roots, self.config.scratch_budget)?;
+        let plan = Plan::build(roots, self.config.scratch_budget, &mut self.plans)?;
         for src in &plan.sources {
             assert_eq!(src.len(), lanes, "fused sources must share a lane count");
         }
@@ -350,28 +326,24 @@ impl TensorSession {
 
         if let Some(tel) = &mut self.telemetry {
             tel.count("tensor.plans", 0, 1);
-            tel.observe(
-                "tensor.fused_nodes",
-                0,
-                POW2_BOUNDS,
-                plan.graph.len() as u64,
-            );
-            tel.count("tensor.stages", 0, plan.stages.len() as u64);
+            tel.observe("tensor.fused_nodes", 0, POW2_BOUNDS, plan.nodes as u64);
+            tel.count("tensor.stages", 0, plan.compiled.stages.len() as u64);
             tel.count("tensor.scratch_splits", 0, plan.splits() as u64);
             tel.count("tensor.tiles", 0, n_tiles as u64);
         }
         self.decisions.clear();
 
-        // Slice every source into per-tile bit-sliced inputs once.
-        let widths = plan.graph.input_widths().to_vec();
+        // Cut every bit-sliced source into per-tile inputs by lane range;
+        // one tile shares the source's own vector.
         let ext: Vec<Vec<Arc<BitSlicedIntVec>>> = (0..n_tiles)
             .map(|t| {
-                let lo = t * tile;
-                let hi = ((t + 1) * tile).min(lanes);
+                let range = t * tile..((t + 1) * tile).min(lanes);
                 plan.sources
                     .iter()
-                    .zip(&widths)
-                    .map(|(src, &w)| Arc::new(BitSlicedIntVec::from_values(&src[lo..hi], w)))
+                    .map(|src| match n_tiles {
+                        1 => src.clone(),
+                        _ => Arc::new(src.slice_lanes(range.clone())),
+                    })
                     .collect()
             })
             .collect();
@@ -380,7 +352,7 @@ impl TensorSession {
         // (one drain per stage), so independent tiles share a dispatch
         // batch and coalesce across banks/channel domains.
         let mut inter: Vec<Vec<Vec<Arc<BitSlicedIntVec>>>> = vec![Vec::new(); n_tiles];
-        for (s, stage) in plan.stages.iter().enumerate() {
+        for (s, stage) in plan.compiled.stages.iter().enumerate() {
             let mut pending: BTreeMap<JobId, usize> = BTreeMap::new();
             let mut outputs: BTreeMap<JobId, Vec<BitSlicedIntVec>> = BTreeMap::new();
             for (t, tile_inputs) in ext.iter().enumerate() {
@@ -413,6 +385,7 @@ impl TensorSession {
 
         // Gather: per root, its bit-sliced tile slices in lane order.
         Ok(plan
+            .compiled
             .outputs
             .iter()
             .map(|&(s, o)| {
@@ -491,6 +464,19 @@ enum Gathered {
 }
 
 impl Gathered {
+    /// The lanes as one bit-sliced vector of `bits` planes (one tile's
+    /// own vector, or the tiles joined in lane order).
+    fn into_sliced(self, bits: u32) -> Arc<BitSlicedIntVec> {
+        match self {
+            Gathered::Splat { value, lanes } => Arc::new(splat_sliced(value, bits, lanes)),
+            Gathered::Tiles(mut tiles) if tiles.len() == 1 => tiles.pop().expect("one tile"),
+            Gathered::Tiles(tiles) => {
+                let parts: Vec<&BitSlicedIntVec> = tiles.iter().map(|t| t.as_ref()).collect();
+                Arc::new(BitSlicedIntVec::concat(&parts))
+            }
+        }
+    }
+
     /// The lanes as `u64` values (transposed 64 lanes at a time).
     fn to_values(&self) -> Vec<u64> {
         match self {
@@ -530,5 +516,165 @@ impl Gathered {
             Gathered::Splat { value, lanes } => value * *lanes as u64,
             Gathered::Tiles(tiles) => Self::mask_planes(tiles).map(|p| p.count_ones()).sum(),
         }
+    }
+}
+
+/// `value` in each of `lanes` lanes, as `bits` all-ones or all-zeros
+/// planes.
+fn splat_sliced(value: u64, bits: u32, lanes: usize) -> BitSlicedIntVec {
+    BitSlicedIntVec::from_planes(
+        (0..bits)
+            .map(|p| match (value >> p) & 1 {
+                1 => BitVec::ones(lanes),
+                _ => BitVec::zeros(lanes),
+            })
+            .collect(),
+    )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::expr::Expr;
+    use crate::plan::PLAN_CACHE_CAP;
+
+    /// A host-only session: compilation does not depend on placement, so
+    /// the plan cache needs no DRAM device to test.
+    fn host_session() -> TensorSession {
+        let cpu = CpuBackend::new("cpu", CpuModel::new(CpuConfig::skylake_ddr3()));
+        TensorSession::new(
+            Runtime::new().with(Box::new(cpu)),
+            TensorConfig {
+                placement: Placement::Forced("cpu".into()),
+                ..TensorConfig::default()
+            },
+        )
+    }
+
+    fn lanes(n: usize, mult: u64) -> Vec<u64> {
+        (0..n as u64)
+            .map(|i| (i.wrapping_mul(mult) >> 7) & 0xff)
+            .collect()
+    }
+
+    /// A freshly built add/xor chain over new sources, structurally the
+    /// same on every call, deep enough to split under a tight budget.
+    fn chain(av: &[u64], bv: &[u64]) -> PimTensor<u8> {
+        let a = PimTensor::<u8>::from_u64_values(av.to_vec());
+        let b = PimTensor::<u8>::from_u64_values(bv.to_vec());
+        let mut acc = &a + &b;
+        for i in 0..24 {
+            acc = if i % 2 == 0 { &acc ^ &b } else { &acc + &a };
+        }
+        acc
+    }
+
+    fn chain_scalar(av: &[u64], bv: &[u64]) -> Vec<u8> {
+        av.iter()
+            .zip(bv)
+            .map(|(&a, &b)| {
+                let (a, b) = (a as u8, b as u8);
+                (0..24).fold(a.wrapping_add(b), |acc, i| {
+                    if i % 2 == 0 {
+                        acc ^ b
+                    } else {
+                        acc.wrapping_add(a)
+                    }
+                })
+            })
+            .collect()
+    }
+
+    #[test]
+    fn identical_expressions_compile_once() {
+        let (av, bv) = (lanes(200, 0x9e37_79b9), lanes(200, 0xc2b2_ae3d));
+        let want = chain_scalar(&av, &bv);
+        let mut sess = host_session();
+        assert_eq!(sess.eval(&chain(&av, &bv)).unwrap(), want);
+        let first = sess.plans.entries();
+        assert_eq!(first.len(), 1);
+
+        assert_eq!(sess.eval(&chain(&av, &bv)).unwrap(), want);
+        let second = sess.plans.entries();
+        assert_eq!(second.len(), 1, "the same graph compiled again");
+        let program = |c: &[Arc<crate::plan::Compiled>]| c[0].stages[0].program.clone();
+        assert!(Arc::ptr_eq(&program(&first), &program(&second)));
+    }
+
+    #[test]
+    fn a_lower_scratch_budget_compiles_a_more_staged_plan() {
+        // Six sums that all stay live to the end: 48 planes at once.
+        let wide = |a: &PimTensor<u8>| {
+            let d: Vec<PimTensor<u8>> =
+                (1..=6).map(|k| a + &PimTensor::splat(k, a.len())).collect();
+            let x = d[1..].iter().fold(d[0].clone(), |acc, v| &acc ^ v);
+            d.iter().fold(x, |acc, v| &acc + v)
+        };
+        let av = lanes(128, 0x2545_f491);
+        let want: Vec<u8> = av
+            .iter()
+            .map(|&a| {
+                let d: Vec<u8> = (1..=6).map(|k| (a as u8).wrapping_add(k)).collect();
+                let x = d[1..].iter().fold(d[0], |acc, v| acc ^ v);
+                d.iter().fold(x, |acc, &v| acc.wrapping_add(v))
+            })
+            .collect();
+        let mut sess = host_session();
+        let fresh = || wide(&PimTensor::<u8>::from_u64_values(av.clone()));
+        assert_eq!(sess.eval(&fresh()).unwrap(), want);
+        let roomy = sess.plans.entries()[0].stages.len();
+
+        sess.config_mut().scratch_budget = 14;
+        assert_eq!(sess.eval(&fresh()).unwrap(), want);
+        let entries = sess.plans.entries();
+        assert_eq!(entries.len(), 2, "the budget is part of the key");
+        let tight = entries.iter().map(|c| c.stages.len()).max().unwrap();
+        assert!(
+            tight > roomy,
+            "{tight} stages under budget 14, {roomy} at the default"
+        );
+    }
+
+    #[test]
+    fn the_plan_cache_stays_within_its_cap() {
+        let av = lanes(64, 0xff51_afd7);
+        let a = PimTensor::<u8>::from_u64_values(av.clone());
+        let mut sess = host_session();
+        for k in 0..=2 * PLAN_CACHE_CAP as u8 {
+            let got = sess.eval(&(&a ^ &PimTensor::splat(k, 64))).unwrap();
+            let want: Vec<u8> = av.iter().map(|&v| v as u8 ^ k).collect();
+            assert_eq!(got, want, "splat {k}");
+            assert!(sess.plans.entries().len() <= PLAN_CACHE_CAP);
+        }
+    }
+
+    #[test]
+    fn a_sum_compiles_its_level_graph_once() {
+        // 1000 → 500 → 250 → 125 → 63 lanes: an odd level pads with the
+        // identity, and every level runs the one cached add.
+        let av = lanes(1000, 0xc4ce_b9fe);
+        let mut sess = host_session();
+        let t = PimTensor::<u8>::from_u64_values(av.clone());
+        assert_eq!(sess.sum(&t).unwrap(), av.iter().sum::<u64>());
+        assert_eq!(
+            sess.plans.entries().len(),
+            2,
+            "the widening root and one level add"
+        );
+        let min = av.iter().copied().min().unwrap() as u8;
+        assert_eq!(sess.min(&t).unwrap(), min);
+    }
+
+    #[test]
+    fn a_source_slices_once() {
+        let t = PimTensor::<u8>::from_u64_values(lanes(300, 0x94d0_49bb));
+        let Expr::Source { lanes, width } = &*t.expr else {
+            unreachable!("a tensor from values is a source")
+        };
+        let mut sess = host_session();
+        sess.eval(&(&t + &t)).unwrap();
+        let first = lanes.sliced(*width);
+        sess.eval(&(&t ^ &t)).unwrap();
+        assert!(Arc::ptr_eq(&first, &lanes.sliced(*width)));
     }
 }
