@@ -54,7 +54,7 @@ impl SourceLanes {
     /// The lanes bit-sliced at `width`; the first call slices them and
     /// drops the `u64` values.
     pub(crate) fn sliced(&self, width: u32) -> Arc<BitSlicedIntVec> {
-        let mut lanes = self.0.lock().expect("no slicing panics");
+        let mut lanes = self.0.lock().expect("slicing checked lanes never panics");
         let sliced = match &*lanes {
             Lanes::Sliced(s) => return s.clone(),
             Lanes::Values(vals) => Arc::new(BitSlicedIntVec::from_values(vals, width)),

@@ -44,6 +44,7 @@ pub(crate) struct Plan {
     pub nodes: usize,
     /// Bit-sliced lanes per graph input, in input order.
     pub sources: Vec<Arc<BitSlicedIntVec>>,
+    /// The fused graph's stages, from the session's cache.
     pub compiled: Arc<Compiled>,
 }
 

@@ -32,7 +32,7 @@ use pim_runtime::{
 };
 use pim_simd::DEFAULT_SCRATCH_BUDGET;
 use pim_telemetry::{TelemetrySink, POW2_BOUNDS};
-use pim_workloads::{BitSlicedIntVec, BitVec};
+use pim_workloads::BitSlicedIntVec;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -275,7 +275,7 @@ impl TensorSession {
             let lo = lanes.slice_lanes(0..half);
             let mut hi = lanes.slice_lanes(half..lanes.len());
             if hi.len() < half {
-                let pad = splat_sliced(identity, T::BITS, half - hi.len());
+                let pad = BitSlicedIntVec::from_values(&vec![identity; half - hi.len()], T::BITS);
                 hi = BitSlicedIntVec::concat(&[&hi, &pad]);
             }
             let combined = op(&PimTensor::from_sliced(lo), &PimTensor::from_sliced(hi));
@@ -468,7 +468,9 @@ impl Gathered {
     /// own vector, or the tiles joined in lane order).
     fn into_sliced(self, bits: u32) -> Arc<BitSlicedIntVec> {
         match self {
-            Gathered::Splat { value, lanes } => Arc::new(splat_sliced(value, bits, lanes)),
+            Gathered::Splat { value, lanes } => {
+                Arc::new(BitSlicedIntVec::from_values(&vec![value; lanes], bits))
+            }
             Gathered::Tiles(mut tiles) if tiles.len() == 1 => tiles.pop().expect("one tile"),
             Gathered::Tiles(tiles) => {
                 let parts: Vec<&BitSlicedIntVec> = tiles.iter().map(|t| t.as_ref()).collect();
@@ -517,19 +519,6 @@ impl Gathered {
             Gathered::Tiles(tiles) => Self::mask_planes(tiles).map(|p| p.count_ones()).sum(),
         }
     }
-}
-
-/// `value` in each of `lanes` lanes, as `bits` all-ones or all-zeros
-/// planes.
-fn splat_sliced(value: u64, bits: u32, lanes: usize) -> BitSlicedIntVec {
-    BitSlicedIntVec::from_planes(
-        (0..bits)
-            .map(|p| match (value >> p) & 1 {
-                1 => BitVec::ones(lanes),
-                _ => BitVec::zeros(lanes),
-            })
-            .collect(),
-    )
 }
 
 #[cfg(test)]
