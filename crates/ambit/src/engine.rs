@@ -173,6 +173,8 @@ impl fmt::Display for ExecReport {
 struct ArenaCursor {
     next_data_row: u32,
     free: Vec<u32>,
+    /// The subarray's `C1` row holds its all-ones pattern.
+    c1_filled: bool,
 }
 
 /// The in-DRAM bulk bitwise computation engine.
@@ -427,14 +429,16 @@ fn run_sites(
 }
 
 impl AmbitSystem {
-    /// Creates an engine over a fresh device; control rows (`C0`/`C1`) are
-    /// initialized in every subarray.
+    /// Creates an engine over a fresh device. No row is materialized yet:
+    /// `C0` reads as zero in the lazy store, and a subarray's `C1` row is
+    /// filled with ones when its first data row is allocated (see
+    /// [`AmbitSystem::alloc_shifted`]).
     pub fn new(config: AmbitConfig) -> Self {
         let spec = config.spec;
         let layout = SubarrayLayout::new(spec.org.rows_per_subarray());
         let org = spec.org;
         let arenas = (org.channels * org.ranks * org.banks * org.subarrays) as usize;
-        let mut sys = AmbitSystem {
+        AmbitSystem {
             device: Device::new(spec),
             layout,
             energy: config.energy,
@@ -446,9 +450,7 @@ impl AmbitSystem {
             faults_injected: 0,
             site_buf: Vec::new(),
             run_buf: RunScratch::default(),
-        };
-        sys.init_control_rows();
-        sys
+        }
     }
 
     /// Bit errors injected into TRA results so far (0 on a healthy device).
@@ -503,24 +505,6 @@ impl AmbitSystem {
             _ => {}
         }
         fr
-    }
-
-    fn init_control_rows(&mut self) {
-        // C0 rows read as zero by default (lazy store); C1 rows are wired to
-        // all-ones — model as a one-time fill, outside any timing/energy
-        // accounting (it is a manufacturing property, not a runtime cost).
-        let org = self.device.spec().org;
-        for ch in 0..org.channels {
-            for ra in 0..org.ranks {
-                for ba in 0..org.banks {
-                    for sa in 0..org.subarrays {
-                        let row = self.layout.special_row(sa, SpecialRow::C1);
-                        let id = RowId::new(ch, ra, ba, row);
-                        self.device.store_mut().fill_row(id, u64::MAX);
-                    }
-                }
-            }
-        }
     }
 
     /// The device specification.
@@ -667,6 +651,15 @@ impl AmbitSystem {
                     self.free(vec);
                     return Err(e);
                 }
+            }
+            // C1 is wired to all-ones at manufacture: fill it once, on the
+            // subarray's first allocation, outside timing, energy and
+            // observation. Programs resolve control rows only in allocated
+            // subarrays and never write them, so every C1 read sees ones.
+            if !self.cursors[arena].c1_filled {
+                self.cursors[arena].c1_filled = true;
+                let c1 = RowId::new(ch, ra, ba, self.layout.special_row(sa, SpecialRow::C1));
+                self.device.store_mut().fill_row(c1, u64::MAX);
             }
         }
         Ok(vec)
@@ -1795,5 +1788,98 @@ mod tests {
         r1.merge_sequential(&r2);
         assert_eq!(r1.cycles, c1 + r2.cycles);
         assert!(!format!("{r1}").is_empty());
+    }
+
+    /// Runs the three operations that read `C1` (`Or`, `Nor`, `fill(ones)`)
+    /// on fresh operands and checks each against the `BitVec` reference.
+    fn assert_c1_readers_exact(sys: &mut AmbitSystem, a: &BulkVec, b: &BulkVec, out: &BulkVec) {
+        let bits = a.len();
+        let (av, bv) = (rand_bits(bits, 21), rand_bits(bits, 22));
+        sys.write(a, &av).unwrap();
+        sys.write(b, &bv).unwrap();
+        for op in [BulkOp::Or, BulkOp::Nor] {
+            sys.execute(op, a, Some(b), out).unwrap();
+            assert_eq!(sys.read(out), av.binary(op, &bv), "{op:?}");
+        }
+        sys.fill(out, true).unwrap();
+        assert_eq!(sys.read(out), BitVec::ones(bits));
+    }
+
+    #[test]
+    fn c1_rows_materialize_only_in_allocated_subarrays() {
+        let spec = DramSpec::ddr3_1600().with_org(4, 4, 16).unwrap();
+        let org = spec.org;
+        let mut sys = AmbitSystem::new(AmbitConfig {
+            spec,
+            ..AmbitConfig::ddr3()
+        });
+        assert_eq!(sys.device.store().allocated_rows(), 0);
+        // One row round: one chunk in subarray 0 of each of the 256 banks.
+        let bits = sys.row_bits() * org.total_banks() as usize;
+        let a = sys.alloc(bits).unwrap();
+        let b = sys.alloc(bits).unwrap();
+        let out = sys.alloc(bits).unwrap();
+        sys.execute(BulkOp::Or, &a, Some(&b), &out).unwrap();
+        let mut c1_rows = 0;
+        for bank in 0..org.total_banks() {
+            let (ch, ra, ba) = (
+                bank / (org.ranks * org.banks),
+                (bank / org.banks) % org.ranks,
+                bank % org.banks,
+            );
+            for sa in 0..org.subarrays {
+                let c1 = RowId::new(ch, ra, ba, sys.layout.special_row(sa, SpecialRow::C1));
+                match sys.device.store().row(c1) {
+                    Some(words) => {
+                        assert_eq!(sa, 0, "C1 of untouched subarray {sa} in bank {bank}");
+                        assert!(words.iter().all(|&w| w == u64::MAX));
+                        c1_rows += 1;
+                    }
+                    None => assert_ne!(sa, 0, "C1 of touched bank {bank} never filled"),
+                }
+            }
+        }
+        assert_eq!(c1_rows, 256);
+    }
+
+    #[test]
+    fn c1_readers_stay_exact_off_the_default_allocation_path() {
+        // Two and a half row rounds from subarray 5: chunks reach the
+        // never-touched subarrays 5, 6 and 7 of every bank.
+        let mut sys = small_sys();
+        let bits = sys.row_bits() * sys.spec().org.total_banks() as usize * 2 + 100;
+        let a = sys.alloc_shifted(bits, 5).unwrap();
+        let b = sys.alloc_shifted(bits, 5).unwrap();
+        let out = sys.alloc_shifted(bits, 5).unwrap();
+        assert_c1_readers_exact(&mut sys, &a, &b, &out);
+
+        // Freed rows come back from the free list, not the cursor.
+        let mut rows = [a.rows.clone(), b.rows.clone(), out.rows.clone()].concat();
+        rows.sort_unstable_by_key(|r| (r.bank_id(), r.row));
+        for v in [a, b, out] {
+            sys.free(v);
+        }
+        let a = sys.alloc_shifted(bits, 5).unwrap();
+        let b = sys.alloc_shifted(bits, 5).unwrap();
+        let out = sys.alloc_shifted(bits, 5).unwrap();
+        let mut reused = [a.rows.clone(), b.rows.clone(), out.rows.clone()].concat();
+        reused.sort_unstable_by_key(|r| (r.bank_id(), r.row));
+        assert_eq!(reused, rows);
+        assert_c1_readers_exact(&mut sys, &a, &b, &out);
+
+        // A clone taken before any allocation fills its own C1 rows, and
+        // the original still fills its own afterwards.
+        let mut fresh = small_sys();
+        let mut twin = fresh.clone();
+        let bits = sys.row_bits() * 3;
+        let a = twin.alloc(bits).unwrap();
+        let b = twin.alloc(bits).unwrap();
+        let out = twin.alloc(bits).unwrap();
+        assert_c1_readers_exact(&mut twin, &a, &b, &out);
+        assert_eq!(fresh.device.store().allocated_rows(), 0);
+        let a = fresh.alloc(bits).unwrap();
+        let b = fresh.alloc(bits).unwrap();
+        let out = fresh.alloc(bits).unwrap();
+        assert_c1_readers_exact(&mut fresh, &a, &b, &out);
     }
 }

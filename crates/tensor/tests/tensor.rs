@@ -200,18 +200,18 @@ fn u64_lanes_round_trip() {
     }
 }
 
-/// A deep chain that exceeds the scratch budget still evaluates exactly
-/// (the planner splits it into stages transparently).
+/// A graph that exceeds the scratch budget still evaluates exactly: the
+/// planner splits it into stages transparently.
 #[test]
 fn scratch_split_is_transparent() {
     let av = data(128, 14, 8);
-    let bv = data(128, 15, 8);
     let a = PimTensor::<u8>::from_u64_values(av.clone());
-    let b = PimTensor::<u8>::from_u64_values(bv.clone());
-    let mut acc = &a + &b;
-    for i in 0..24 {
-        acc = if i % 2 == 0 { &acc ^ &b } else { &acc + &a };
-    }
+    // Six sums that all stay live to the end: 48 planes at once.
+    let d: Vec<PimTensor<u8>> = (1..=6)
+        .map(|k| &a + &PimTensor::splat(k, a.len()))
+        .collect();
+    let x = d[1..].iter().fold(d[0].clone(), |acc, v| &acc ^ v);
+    let expr = d.iter().fold(x, |acc, v| &acc + v);
 
     // A budget tight enough to force splitting (but above the 12-row
     // single-node floor).
@@ -230,19 +230,21 @@ fn scratch_split_is_transparent() {
             ..TensorConfig::default()
         },
     );
-    let got = sess.eval(&acc).unwrap();
+    sess.set_telemetry(true);
+    let got = sess.eval(&expr).unwrap();
+    let stages = sess
+        .take_telemetry()
+        .expect("telemetry enabled")
+        .counter("tensor.stages", 0);
+    assert!(stages > 1, "budget 14 compiled {stages} stage(s)");
 
-    let mut want: Vec<u8> = (0..av.len())
-        .map(|i| (av[i] as u8).wrapping_add(bv[i] as u8))
+    let want: Vec<u8> = av
+        .iter()
+        .map(|&v| {
+            let d: Vec<u8> = (1..=6).map(|k| (v as u8).wrapping_add(k)).collect();
+            let x = d[1..].iter().fold(d[0], |acc, w| acc ^ w);
+            d.iter().fold(x, |acc, &w| acc.wrapping_add(w))
+        })
         .collect();
-    for i in 0..24 {
-        for (j, w) in want.iter_mut().enumerate() {
-            *w = if i % 2 == 0 {
-                *w ^ bv[j] as u8
-            } else {
-                w.wrapping_add(av[j] as u8)
-            };
-        }
-    }
     assert_eq!(got, want);
 }
