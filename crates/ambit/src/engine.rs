@@ -173,8 +173,6 @@ impl fmt::Display for ExecReport {
 struct ArenaCursor {
     next_data_row: u32,
     free: Vec<u32>,
-    /// The subarray's `C1` row holds its all-ones pattern.
-    c1_filled: bool,
 }
 
 /// The in-DRAM bulk bitwise computation engine.
@@ -645,6 +643,9 @@ impl AmbitSystem {
             let ra = ((bank_flat as u32) / org.banks) % org.ranks;
             let ba = (bank_flat as u32) % org.banks;
             let arena = self.arena_index(ch, ra, ba, sa);
+            // The free list only holds rows handed out before, so an
+            // untouched cursor marks the subarray's first allocation.
+            let first = self.cursors[arena].next_data_row == 0;
             match self.take_data_row(arena, sa) {
                 Ok(row) => vec.rows.push(RowId::new(ch, ra, ba, row)),
                 Err(e) => {
@@ -656,8 +657,7 @@ impl AmbitSystem {
             // subarray's first allocation, outside timing, energy and
             // observation. Programs resolve control rows only in allocated
             // subarrays and never write them, so every C1 read sees ones.
-            if !self.cursors[arena].c1_filled {
-                self.cursors[arena].c1_filled = true;
+            if first {
                 let c1 = RowId::new(ch, ra, ba, self.layout.special_row(sa, SpecialRow::C1));
                 self.device.store_mut().fill_row(c1, u64::MAX);
             }

@@ -49,6 +49,16 @@ const NO_SLOT: u32 = u32::MAX;
 /// from the sparse fast-hash map to a dense direct-indexed table.
 const SPARSE_MAX: usize = 128;
 
+/// Factor by which a full bank slab's capacity grows. Growing 4-fold
+/// instead of `Vec`'s 2-fold halves the reallocations (each copies the
+/// whole slab) and the heap holes they leave. The spare capacity is never
+/// written, so it costs address space, not resident memory. It also helps
+/// callers that build and drop a simulator per request: glibc's heap trim
+/// threshold follows the largest block freed, so a roomier slab keeps the
+/// next build's transient buffers inside the retained heap instead of
+/// trimming it and re-faulting its pages on every build.
+const SLAB_GROWTH: usize = 4;
+
 /// Open-addressing row→slot map with multiplicative (Fibonacci) hashing —
 /// the table for sparsely-touched banks. Lookups cost one multiply, one
 /// shift, and a short linear probe; there is no per-process seed, so
@@ -168,18 +178,23 @@ impl BankRows {
         if let Some(s) = self.slot_of(row) {
             return s;
         }
-        let slot = self.new_slot(row);
+        let slot = self.new_slot(row, row_words);
         self.words.resize(self.words.len() + row_words, 0);
         slot
     }
 
-    /// Reserves the next slot for `row` and records it in the row table.
-    /// The caller must append exactly `row_words` words to `self.words` —
-    /// this split is what lets the bulk ops allocate-and-fill in one pass
-    /// (`resize` with the fill value, `extend_from_within` for same-slab
-    /// copies) instead of zeroing fresh slots and immediately overwriting
-    /// them.
-    fn new_slot(&mut self, row: u32) -> usize {
+    /// Reserves the next slot for `row` (growing the slab's capacity
+    /// [`SLAB_GROWTH`]-fold when it is full) and records it in the row
+    /// table. The caller must append exactly `row_words` words to
+    /// `self.words` — this split is what lets the bulk ops
+    /// allocate-and-fill in one pass (`resize` with the fill value,
+    /// `extend_from_within` for same-slab copies) instead of zeroing fresh
+    /// slots and immediately overwriting them.
+    fn new_slot(&mut self, row: u32, row_words: usize) -> usize {
+        if self.words.len() + row_words > self.words.capacity() {
+            let grow = ((SLAB_GROWTH - 1) * self.words.capacity()).max(row_words);
+            self.words.reserve_exact(grow);
+        }
         let slot = self.slot_rows.len();
         self.slot_rows.push(row);
         match &mut self.table {
@@ -464,7 +479,7 @@ impl DataStore {
                     d.copy_from_slice(s);
                 }
                 None => {
-                    bank.new_slot(dst.row);
+                    bank.new_slot(dst.row, words);
                     bank.words.extend_from_within(ss * words..(ss + 1) * words);
                 }
             }
@@ -484,7 +499,7 @@ impl DataStore {
             match dst_bank.slot_of(dst.row) {
                 Some(ds) => dst_bank.words[ds * words..(ds + 1) * words].copy_from_slice(s),
                 None => {
-                    dst_bank.new_slot(dst.row);
+                    dst_bank.new_slot(dst.row, words);
                     dst_bank.words.extend_from_slice(s);
                 }
             }
@@ -512,7 +527,7 @@ impl DataStore {
         match bank.slot_of(row.row) {
             Some(slot) => fill_words(&mut bank.words[slot * words..(slot + 1) * words], word),
             None => {
-                bank.new_slot(row.row);
+                bank.new_slot(row.row, words);
                 let len = bank.words.len();
                 bank.words.resize(len + words, word);
             }
@@ -887,6 +902,27 @@ mod tests {
             assert_eq!(s.read_word(rid(r * 3), 0), r as u64, "row {r} survived");
         }
         assert_eq!(s.allocated_rows(), SPARSE_MAX * 2);
+    }
+
+    #[test]
+    fn slab_grows_four_fold_on_every_path() {
+        let mut s = store();
+        let mut caps = Vec::new();
+        for r in 0..70u32 {
+            // Materialize, fill and copy each append a fresh slot.
+            match r % 3 {
+                0 => s.write_word(rid(r), 0, u64::from(r)),
+                1 => s.fill_row(rid(r), u64::from(r)),
+                _ => s.copy_row(rid(0), rid(r)),
+            }
+            caps.push(s.banks[0].words.capacity() / s.row_words());
+        }
+        caps.dedup();
+        assert_eq!(caps, [1, 4, 16, 64, 256]);
+        for r in 0..70u32 {
+            let want = if r % 3 == 2 { 0 } else { u64::from(r) };
+            assert_eq!(s.read_word(rid(r), 0), want, "row {r} survived growth");
+        }
     }
 
     #[test]

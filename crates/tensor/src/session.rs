@@ -179,12 +179,7 @@ impl TensorSession {
 
     /// Evaluates a tensor to its lane values.
     pub fn eval<T: PimElem>(&mut self, t: &PimTensor<T>) -> Result<Vec<T>> {
-        Ok(self
-            .run_root(&t.expr, t.len)?
-            .to_values()
-            .into_iter()
-            .map(T::from_u64)
-            .collect())
+        Ok(self.run_root(&t.expr, t.len)?.values(T::from_u64))
     }
 
     /// Evaluates a mask to its lane truth values.
@@ -479,14 +474,15 @@ impl Gathered {
         }
     }
 
-    /// The lanes as `u64` values (transposed 64 lanes at a time).
-    fn to_values(&self) -> Vec<u64> {
+    /// The lanes mapped through `map` (transposed 64 lanes at a time,
+    /// straight into the returned vector).
+    fn values<T: Clone>(&self, map: fn(u64) -> T) -> Vec<T> {
         match self {
-            Gathered::Splat { value, lanes } => vec![*value; *lanes],
+            Gathered::Splat { value, lanes } => vec![map(*value); *lanes],
             Gathered::Tiles(tiles) => {
                 let mut out = Vec::with_capacity(tiles.iter().map(|t| t.len()).sum());
                 for t in tiles {
-                    out.extend(t.to_values());
+                    t.extend_values(&mut out, map);
                 }
                 out
             }

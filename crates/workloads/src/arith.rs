@@ -137,8 +137,21 @@ impl BitSlicedIntVec {
     ///
     /// Panics if the vector is wider than 64 bits.
     pub fn to_values(&self) -> Vec<u64> {
-        self.assert_fits_u64();
         let mut out = Vec::with_capacity(self.len);
+        self.extend_values(&mut out, |v| v);
+        out
+    }
+
+    /// Appends every element, mapped through `map`, to `out` — the
+    /// transpose of [`to_values`](Self::to_values) without its `u64`
+    /// buffer when the caller wants narrower lanes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the vector is wider than 64 bits.
+    pub fn extend_values<T>(&self, out: &mut Vec<T>, mut map: impl FnMut(u64) -> T) {
+        self.assert_fits_u64();
+        out.reserve(self.len);
         let rows = self.bits.next_power_of_two() as usize;
         for w in 0..self.len.div_ceil(64) {
             let mut block = [0u64; 64];
@@ -146,9 +159,8 @@ impl BitSlicedIntVec {
                 *row = plane.as_words()[w];
             }
             unslice_block(&mut block, rows);
-            out.extend_from_slice(&block[..(self.len - 64 * w).min(64)]);
+            out.extend(block[..(self.len - 64 * w).min(64)].iter().map(|&v| map(v)));
         }
-        out
     }
 
     fn assert_fits_u64(&self) {
@@ -660,7 +672,11 @@ mod tests {
                 let slow = BitSlicedIntVec::from_values_per_bit(&vals, bits);
                 prop_assert_eq!(&fast, &slow, "slicing at {} bits", bits);
                 prop_assert_eq!(slow.to_values(), slow.to_values_per_bit());
-                prop_assert_eq!(fast.to_values(), vals);
+                prop_assert_eq!(fast.to_values(), &vals[..]);
+                let mut narrow = vec![u32::MAX];
+                fast.extend_values(&mut narrow, |v| v as u32);
+                prop_assert_eq!(narrow[0], u32::MAX, "the prefix stays");
+                prop_assert!(narrow[1..].iter().copied().eq(vals.iter().map(|&v| v as u32)));
             }
         }
 
