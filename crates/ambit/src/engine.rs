@@ -711,10 +711,24 @@ impl AmbitSystem {
                 b: vec.len_bits,
             });
         }
+        self.write_at(vec, 0, bits)
+    }
+
+    /// Writes `bits` into the vector's rows from chunk `chunk` on
+    /// (functional and untimed, like [`AmbitSystem::write`]). The last
+    /// row written is zero-filled past the payload; rows outside the range
+    /// are left as they are.
+    ///
+    /// # Errors
+    ///
+    /// [`AmbitError::InvalidArgument`] if the payload runs past the
+    /// vector's end; nothing is written then.
+    pub fn write_at(&mut self, vec: &BulkVec, chunk: usize, bits: &BitVec) -> Result<()> {
+        let rows = self.rows_at(vec, chunk, bits.len())?;
         let row_words = self.device.spec().org.row_bytes() as usize / 8;
         let words = bits.as_words();
-        for (chunk, row) in vec.rows.iter().enumerate() {
-            let start = (chunk * row_words).min(words.len());
+        for (i, row) in rows.iter().enumerate() {
+            let start = (i * row_words).min(words.len());
             let end = (start + row_words).min(words.len());
             // The store zero-fills the tail past the supplied slice.
             self.device
@@ -726,13 +740,40 @@ impl AmbitSystem {
 
     /// Reads the vector's contents back out (functional, untimed).
     pub fn read(&self, vec: &BulkVec) -> BitVec {
+        self.read_at(vec, 0, vec.len_bits)
+            .expect("a vector's own length spans its rows")
+    }
+
+    /// Reads `len_bits` bits from chunk `chunk` of the vector on into a
+    /// fresh [`BitVec`] (functional, untimed).
+    ///
+    /// # Errors
+    ///
+    /// [`AmbitError::InvalidArgument`] if the range runs past the
+    /// vector's end.
+    pub fn read_at(&self, vec: &BulkVec, chunk: usize, len_bits: usize) -> Result<BitVec> {
+        let rows = self.rows_at(vec, chunk, len_bits)?;
         let row_words = self.device.spec().org.row_bytes() as usize / 8;
-        let mut words = Vec::with_capacity(vec.rows.len() * row_words);
-        for row in &vec.rows {
-            self.device.store().append_row(*row, &mut words);
+        let n_words = len_bits.div_ceil(64);
+        let mut words = Vec::with_capacity(n_words);
+        for row in rows {
+            let take = (n_words - words.len()).min(row_words);
+            self.device.store().append_row(*row, take, &mut words);
         }
-        words.truncate(vec.len_bits.div_ceil(64).max(1));
-        BitVec::from_words(words, vec.len_bits)
+        Ok(BitVec::from_words(words, len_bits))
+    }
+
+    /// The rows a `len_bits`-long range from chunk `chunk` on spans (one
+    /// at least), if the range ends within the vector.
+    fn rows_at<'v>(&self, vec: &'v BulkVec, chunk: usize, len_bits: usize) -> Result<&'v [RowId]> {
+        let row_bits = self.row_bits();
+        let n = len_bits.div_ceil(row_bits).max(1);
+        match vec.rows.get(chunk..chunk.saturating_add(n)) {
+            Some(rows) if chunk * row_bits + len_bits <= vec.len_bits => Ok(rows),
+            _ => Err(AmbitError::InvalidArgument(
+                "row range runs past the vector's end",
+            )),
+        }
     }
 
     /// Issues *timed* host traffic over the vector's rows: per row one
@@ -1881,5 +1922,74 @@ mod tests {
         let b = fresh.alloc(bits).unwrap();
         let out = fresh.alloc(bits).unwrap();
         assert_c1_readers_exact(&mut fresh, &a, &b, &out);
+    }
+
+    #[test]
+    fn write_at_read_at_round_trip_at_a_chunk_offset() {
+        let mut sys = small_sys();
+        let row_bits = sys.row_bits();
+        let v = sys.alloc(row_bits * 4).unwrap();
+        // Starts at chunk 1, ends 77 bits into chunk 2.
+        let payload = rand_bits(row_bits + 77, 3);
+        sys.write_at(&v, 1, &payload).unwrap();
+        assert_eq!(sys.read_at(&v, 1, payload.len()).unwrap(), payload);
+        // Rows outside the range are untouched; the tail is zero.
+        let all = sys.read(&v);
+        for i in (0..row_bits).chain(row_bits * 2 + 77..row_bits * 4) {
+            assert!(!all.get(i), "bit {i} outside the payload");
+        }
+        for i in 0..payload.len() {
+            assert_eq!(all.get(row_bits + i), payload.get(i), "bit {i}");
+        }
+    }
+
+    #[test]
+    fn short_write_at_zero_fills_a_dirty_row_tail() {
+        let mut sys = small_sys();
+        let row_bits = sys.row_bits();
+        let v = sys.alloc(row_bits * 2).unwrap();
+        sys.write(&v, &BitVec::ones(row_bits * 2)).unwrap();
+        let payload = rand_bits(100, 4);
+        sys.write_at(&v, 0, &payload).unwrap();
+        let mut expect = BitVec::zeros(row_bits);
+        for i in 0..payload.len() {
+            expect.set(i, payload.get(i));
+        }
+        assert_eq!(sys.read_at(&v, 0, row_bits).unwrap(), expect);
+        // The next row keeps its ones.
+        assert_eq!(
+            sys.read_at(&v, 1, row_bits).unwrap(),
+            BitVec::ones(row_bits)
+        );
+    }
+
+    #[test]
+    fn out_of_range_write_at_is_an_error_and_writes_nothing() {
+        let mut sys = small_sys();
+        let row_bits = sys.row_bits();
+        let v = sys.alloc(row_bits * 2 - 10).unwrap();
+        let before = rand_bits(v.len(), 5);
+        sys.write(&v, &before).unwrap();
+        let rows = sys.device.store().allocated_rows();
+        let cases = [
+            (0, row_bits * 2), // past the length, within the last row
+            (1, row_bits),     // the same from chunk 1
+            (1, row_bits + 1), // one row past the last
+            (2, 0),            // an empty payload past the last row
+            (usize::MAX, 1),   // an offset that overflows
+        ];
+        for (chunk, len) in cases {
+            let res = sys.write_at(&v, chunk, &BitVec::ones(len));
+            assert!(
+                matches!(res, Err(AmbitError::InvalidArgument(_))),
+                "write_at({chunk}, {len})"
+            );
+            assert!(
+                sys.read_at(&v, chunk, len).is_err(),
+                "read_at({chunk}, {len})"
+            );
+        }
+        assert_eq!(sys.read(&v), before);
+        assert_eq!(sys.device.store().allocated_rows(), rows);
     }
 }

@@ -614,12 +614,17 @@ impl DataStore {
         }
     }
 
-    /// Appends the full row contents to `out` (zeros if unmaterialized)
-    /// without allocating a temporary.
-    pub fn append_row(&self, row: RowId, out: &mut Vec<u64>) {
+    /// Appends the row's first `words` words to `out` (zeros if
+    /// unmaterialized) without allocating a temporary.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `words > row_words()`.
+    pub fn append_row(&self, row: RowId, words: usize, out: &mut Vec<u64>) {
+        assert!(words <= self.row_words, "row prefix longer than a row");
         match self.row(row) {
-            Some(data) => out.extend_from_slice(data),
-            None => out.resize(out.len() + self.row_words, 0),
+            Some(data) => out.extend_from_slice(&data[..words]),
+            None => out.resize(out.len() + words, 0),
         }
     }
 
@@ -863,10 +868,12 @@ mod tests {
         s.write_row(rid(6), &data);
         assert_eq!(s.read_row(rid(6)), data);
         let mut out = Vec::new();
-        s.append_row(rid(6), &mut out);
-        s.append_row(rid(7), &mut out);
+        s.append_row(rid(6), 8, &mut out);
+        s.append_row(rid(6), 3, &mut out);
+        s.append_row(rid(7), 2, &mut out);
         assert_eq!(out[..8], data[..]);
-        assert_eq!(out[8..], [0u64; 8]);
+        assert_eq!(out[8..11], data[..3]);
+        assert_eq!(out[11..], [0u64; 2]);
     }
 
     #[test]

@@ -7,12 +7,13 @@
 //! `AmbitSystem::alloc` stripes a vector's row-sized chunks across banks
 //! (`chunk c → bank c % banks`), so a *small* job dispatched alone leaves
 //! most banks idle: a one-chunk job occupies exactly one bank. The
-//! backend therefore concatenates queued **same-operation single-step**
-//! jobs into one wider vector — chunk offsets are row-aligned, so each
-//! job's payload lands on its own rows — and executes that once. With the
-//! group capped at `total_banks` chunks every chunk sits on a *distinct*
-//! bank, the whole group runs fully bank-parallel, and each job's
-//! dependency chain is exactly what it would have been alone.
+//! backend therefore stages queued **same-operation single-step** jobs as
+//! row-aligned ranges of one wider group vector — each job's payload is
+//! written straight into its own rows, and its output read straight out
+//! of them — and executes that once. With the group capped at
+//! `total_banks` chunks every chunk sits on a *distinct* bank, the whole
+//! group runs fully bank-parallel, and each job's dependency chain is
+//! exactly what it would have been alone.
 //!
 //! That cap is what makes per-job accounting exact rather than
 //! approximate: job timing is reconstructed from
@@ -133,7 +134,7 @@ impl AmbitBackend {
         &mut self.sys
     }
 
-    fn engine_err(&self, e: AmbitError) -> RuntimeError {
+    fn engine_err(&self, e: impl std::fmt::Display) -> RuntimeError {
         RuntimeError::Engine {
             backend: self.name.clone(),
             message: e.to_string(),
@@ -205,8 +206,7 @@ impl AmbitBackend {
         let observing = self.observing_jobs();
         // Queue wait ends and staging (operand placement) begins here.
         let batch_start = self.sys.clock();
-        let row_words = self.row_bits / 64;
-        // Row-aligned (hence word-aligned) chunk offset of each member.
+        // Row-aligned chunk offset of each member.
         let mut offsets = Vec::with_capacity(members.len());
         let mut total_chunks = 0usize;
         for (_, a, _) in members {
@@ -214,41 +214,36 @@ impl AmbitBackend {
             total_chunks += self.chunks_of(a.len());
         }
         debug_assert!(total_chunks <= self.total_banks);
-        let total_bits = total_chunks * self.row_bits;
+        let vecs = if op.is_unary() { 2 } else { 3 };
 
-        // Concatenate payloads at row boundaries; slack bits stay zero.
-        let concat = |sel: &dyn Fn(&GroupMember) -> &BitVec| {
-            let mut words = vec![0u64; total_bits / 64];
-            for (m, &off) in members.iter().zip(&offsets) {
-                let src = sel(m).as_words();
-                words[off * row_words..off * row_words + src.len()].copy_from_slice(src);
-            }
-            BitVec::from_words(words, total_bits)
-        };
-        let a_cat = concat(&|m| &m.1);
-        let b_cat = if op.is_unary() {
-            None
-        } else {
-            Some(concat(&|m| m.2.as_deref().expect("binary operands")))
-        };
-
-        // Operands, then the output; results come back to the host before
-        // the staged rows are freed.
-        let mut data = vec![Some(&a_cat)];
-        if let Some(b) = &b_cat {
-            data.push(Some(b));
-        }
-        data.push(None);
-        let (start, delta, ends, out_cat) =
-            with_staged(&mut self.sys, total_bits, &data, |sys, staged| {
+        // Operands, then the output. Each member is written into, and read
+        // back from, its own rows; slack bits in its last row stay zero.
+        // Every member's `a` is written before any `b`.
+        let (start, delta, ends, outputs) = with_staged(
+            &mut self.sys,
+            total_chunks * self.row_bits,
+            &[None; 3][..vecs],
+            |sys, staged| {
                 let (out, ins) = staged.split_last().expect("an output vector");
+                for (k, v) in ins.iter().enumerate() {
+                    for ((_, a, b), &off) in members.iter().zip(&offsets) {
+                        let payload = [Some(a), b.as_ref()][k].expect("binary operands");
+                        sys.write_at(v, off, payload)?;
+                    }
+                }
                 let start = sys.clock();
                 let counts_before = *sys.counts();
                 sys.execute(op, &ins[0], ins.get(1), out)?;
                 let delta = sys.counts().since(&counts_before);
-                Ok((start, delta, sys.last_chunk_ends().to_vec(), sys.read(out)))
-            })
-            .map_err(|e| self.engine_err(e))?;
+                let outputs = members
+                    .iter()
+                    .zip(&offsets)
+                    .map(|((_, a, _), &off)| sys.read_at(out, off, a.len()))
+                    .collect::<Result<Vec<_>, _>>()?;
+                Ok((start, delta, sys.last_chunk_ends().to_vec(), outputs))
+            },
+        )
+        .map_err(|e| self.engine_err(e))?;
         // Results are back on the host; the batch closes here for every
         // member (read-back is a whole-batch operation).
         let drain_end = self.sys.clock();
@@ -263,14 +258,9 @@ impl AmbitBackend {
             // and the snapshot records only what the modeled machine did.
         }
 
-        let out_words = out_cat.as_words();
-        for (m, &off) in members.iter().zip(&offsets) {
-            let (id, a, _) = m;
+        for (((id, a, _), &off), output) in members.iter().zip(&offsets).zip(outputs) {
             let len = a.len();
             let chunks = self.chunks_of(len);
-            // The job's output occupies its own word-aligned row region.
-            let words = out_words[off * row_words..off * row_words + len.div_ceil(64)].to_vec();
-            let output = BitVec::from_words(words, len);
             // As-if-alone timing: the slowest of the job's own chains.
             let end = ends[off..off + chunks]
                 .iter()
@@ -344,13 +334,9 @@ impl AmbitBackend {
             .map_err(|e| self.engine_err(e))?,
             Job::SimdProgram { program, inputs } => {
                 let refs: Vec<&BitSlicedIntVec> = inputs.iter().map(|v| v.as_ref()).collect();
-                let (outs, r) =
-                    program
-                        .execute(&mut self.sys, &refs)
-                        .map_err(|e| RuntimeError::Engine {
-                            backend: self.name.clone(),
-                            message: e.to_string(),
-                        })?;
+                let (outs, r) = program
+                    .execute(&mut self.sys, &refs)
+                    .map_err(|e| self.engine_err(e))?;
                 (JobOutput::Sliced(outs), r)
             }
             other => {

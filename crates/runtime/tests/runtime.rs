@@ -93,6 +93,65 @@ fn batched_dispatch_matches_sequential() {
     assert_eq!(batched_done, sequential_done);
 }
 
+/// Coalesced members are written straight into rows a previous group left
+/// dirty: a first drain stages ones-dense payloads, a second stages shorter
+/// ragged members over those freed rows. Outputs and reports must match
+/// one-job-per-drain dispatch and the CPU datapath.
+#[test]
+fn coalesced_staging_over_dirty_rows_matches_sequential() {
+    let row_bits = AmbitSystem::new(AmbitConfig::ddr3()).row_bits();
+    let ones = |bits| Arc::new(BitVec::ones(bits));
+    let dense: Vec<Job> = [row_bits * 2, row_bits, 3 * row_bits / 2]
+        .into_iter()
+        .map(|bits| Job::bulk(BulkOp::Or, ones(bits), Some(ones(bits))))
+        .chain([Job::bulk(BulkOp::Not, ones(row_bits), None)])
+        .collect();
+    let ragged: Vec<Job> = [77, 1000, row_bits / 2 + 3, 65]
+        .into_iter()
+        .enumerate()
+        .map(|(i, bits)| {
+            let a = patterned(bits, i as u64);
+            let b = patterned(bits, 20 + i as u64);
+            Job::bulk(BulkOp::Or, a, Some(b))
+        })
+        .chain([Job::bulk(BulkOp::Not, patterned(333, 9), None)])
+        .collect();
+
+    let mut batched = ambit_runtime(AmbitConfig::ddr3());
+    let mut batched_done = Vec::new();
+    for phase in [&dense, &ragged] {
+        for job in phase {
+            batched
+                .submit(job.clone(), Placement::Forced("ambit".into()))
+                .unwrap();
+        }
+        batched_done.extend(batched.drain().unwrap());
+    }
+
+    let mut sequential = ambit_runtime(AmbitConfig::ddr3());
+    let mut sequential_done = Vec::new();
+    for job in dense.iter().chain(&ragged) {
+        sequential
+            .submit(job.clone(), Placement::Forced("ambit".into()))
+            .unwrap();
+        sequential_done.extend(sequential.drain().unwrap());
+    }
+
+    assert_eq!(batched_done, sequential_done);
+    for (c, job) in batched_done.iter().zip(dense.iter().chain(&ragged)) {
+        let Job::Bitwise { plan, inputs } = job else {
+            unreachable!("bulk jobs are bitwise")
+        };
+        let refs: Vec<&BitVec> = inputs.iter().map(|v| v.as_ref()).collect();
+        assert_eq!(
+            c.output.bits().unwrap(),
+            &plan.eval_cpu(&refs),
+            "job {}",
+            c.id
+        );
+    }
+}
+
 /// Functional correctness of the coalesced path against the CPU datapath.
 #[test]
 fn coalesced_outputs_match_cpu_eval() {
