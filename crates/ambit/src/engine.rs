@@ -142,16 +142,6 @@ impl ExecReport {
         self.energy += other.energy;
         self.bytes_out += other.bytes_out;
     }
-
-    /// Merges a report from work that ran *concurrently* with this one
-    /// (cycles/ns take the max; energy/commands/bytes accumulate).
-    pub fn merge_parallel(&mut self, other: &ExecReport) {
-        self.cycles = self.cycles.max(other.cycles);
-        self.ns = self.ns.max(other.ns);
-        self.commands.merge(&other.commands);
-        self.energy += other.energy;
-        self.bytes_out += other.bytes_out;
-    }
 }
 
 impl fmt::Display for ExecReport {

@@ -177,28 +177,24 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// `merge_parallel` and `merge_sequential` agree on every accumulated
-    /// resource (energy, bytes) and differ only in the time dimension,
-    /// where parallel takes the max and sequential the sum.
+    /// `merge_sequential` adds the time dimension (cycles, ns) and
+    /// accumulates every resource (energy, bytes).
     #[test]
-    fn merge_parallel_vs_sequential(
+    fn merge_sequential_accumulates(
         c1 in 0u64..1_000_000, c2 in 0u64..1_000_000,
         nj1 in 0u64..1_000_000, nj2 in 0u64..1_000_000,
         b1 in 0u64..1_000_000, b2 in 0u64..1_000_000,
     ) {
         let a = report(c1, c1 as f64 * 1.25, nj1 as f64 / 3.0, b1);
         let b = report(c2, c2 as f64 * 1.25, nj2 as f64 / 3.0, b2);
-        let mut par = a.clone();
-        par.merge_parallel(&b);
         let mut seq = a.clone();
         seq.merge_sequential(&b);
 
-        prop_assert!((par.energy.total_nj() - seq.energy.total_nj()).abs() < 1e-6);
-        prop_assert_eq!(par.bytes_out, seq.bytes_out);
-        prop_assert_eq!(par.cycles, c1.max(c2));
+        prop_assert!(
+            (seq.energy.total_nj() - (a.energy.total_nj() + b.energy.total_nj())).abs() < 1e-6
+        );
+        prop_assert_eq!(seq.bytes_out, b1 + b2);
         prop_assert_eq!(seq.cycles, c1 + c2);
-        prop_assert!(par.cycles <= seq.cycles);
-        prop_assert!((par.ns - (c1.max(c2) as f64 * 1.25)).abs() < 1e-9);
         prop_assert!((seq.ns - ((c1 + c2) as f64 * 1.25)).abs() < 1e-9);
     }
 }

@@ -1,20 +1,19 @@
 //! Generates `results/BENCH_scaling.json` — the capacity-scaling report
-//! (256-bank E1 sweep, multi-stack E5, host-interference ablation) — and
-//! gates it against the regression bands, exiting nonzero on violation.
-//! See `pim_bench::scaling` for the schedule-model methodology.
-//! `--out <path>` overrides the output path; shared flags: `--quiet`,
-//! `--telemetry[=path]`.
-
-use std::path::PathBuf;
+//! (256-bank E1 sweep with measured per-channel-domain costs, multi-stack
+//! E5, host-interference ablation) — and gates it against the regression
+//! bands, exiting nonzero on violation. See `pim_bench::scaling` for the
+//! methodology. `--out <path>` overrides the output path; shared flags:
+//! `--quiet`, `--telemetry[=path]`.
 
 fn main() {
     let mut log = pim_bench::report::RunLog::from_env("bench_scaling");
-    let out = log
-        .args()
-        .windows(2)
-        .find(|w| w[0] == "--out")
-        .map(|w| PathBuf::from(&w[1]))
-        .unwrap_or_else(|| PathBuf::from("results").join("BENCH_scaling.json"));
+    let out = match pim_bench::scaling::out_path(log.args()) {
+        Ok(out) => out,
+        Err(e) => {
+            eprintln!("bench_scaling: {e}");
+            std::process::exit(2);
+        }
+    };
 
     let report = pim_bench::scaling::run();
     log.table(pim_bench::scaling::table(&report));

@@ -1,24 +1,18 @@
 //! Capacity-scaling experiment family (`results/BENCH_scaling.json`):
-//! the 256-bank E1 bulk-AND sweep with parallel-efficiency points at
-//! 1/2/4/8 threads, the multi-stack E5 identity and balance check, and
-//! the host-interference ablation — plus the regression bands CI gates on.
+//! the 256-bank E1 bulk-AND sweep, the multi-stack E5 identity and
+//! balance check, and the host-interference ablation — plus the
+//! regression bands CI gates on.
 //!
-//! ## Methodology: modeled channel-domain schedules
+//! ## Methodology: measured channel-domain costs
 //!
-//! The Ambit engine replays on one host thread at every pool size, so
-//! the thread points are not runs of a parallel engine. Each is a
-//! *modeled* schedule over *measured per-channel-domain costs*,
-//! scheduled as contiguous chunks per worker (the vendored rayon
-//! policy): it prices each channel domain as an independent shard — a
-//! property of the machine, which shares no timing state across
-//! channels. Each channel domain's cost *is* a measured wall time (that
-//! domain's slice running alone, minimum over repetitions); each thread
-//! count's makespan is the critical path of the chunk schedule over
-//! those measured costs, and `words_per_s = words / makespan`. The runs
-//! under 2/4/8-thread pools still execute for real — that is what the
-//! byte-identity assertion checks — and the measured sequential
-//! whole-device time is reported next to the domain-cost sum so the
-//! schedule model's own error stays visible.
+//! The Ambit engine replays on one host thread, so the sweep reports
+//! measured host wall times, not speedups: the whole device's sequential
+//! time, and each channel domain's slice running alone on a one-channel
+//! device of the same shape (minimum over repetitions). Channels share no
+//! timing state in the modeled machine, so how evenly the domains split
+//! the work is a property of the machine; the balance band gates it. The
+//! domain sum is reported next to the sequential time, so the gap between
+//! the two stays visible.
 
 use pim_ambit::{AmbitConfig, AmbitSystem};
 use pim_core::{Table, Value as Cell};
@@ -27,19 +21,24 @@ use pim_tesseract::{TesseractConfig, TesseractSim};
 use pim_workloads::{BitVec, BulkOp, Graph, KernelKind};
 use rand::SeedableRng;
 use serde_json::{Map, Value};
+use std::path::PathBuf;
 use std::time::Instant;
 
 /// Format tag of the `BENCH_scaling.json` envelope.
-pub const SCALING_TAG: &str = "PIMSCALE01";
-
-/// Thread counts the efficiency points cover.
-pub const THREAD_POINTS: [usize; 4] = [1, 2, 4, 8];
+pub const SCALING_TAG: &str = "PIMSCALE02";
 
 /// Bulk-AND repetitions inside one measured run.
 const ITERS: usize = 4;
 
 /// Timing repetitions; the minimum is kept (noise is one-sided).
 const REPS: usize = 3;
+
+/// Stack counts [`multi_stack`] measures, each required by the band.
+const STACK_POINTS: [u32; 3] = [1, 4, 16];
+
+/// The balance band: the domain sum over the costliest channel domain
+/// must reach this, i.e. no domain costs more than a third of the sum.
+const MIN_DOMAIN_BALANCE: f64 = 3.0;
 
 /// The 256-bank HMC-scale organization the acceptance gate names.
 fn spec_256() -> DramSpec {
@@ -55,15 +54,6 @@ fn config_for(spec: DramSpec) -> AmbitConfig {
     }
 }
 
-/// Runs `f` under a rayon pool fixed at `n` threads.
-fn with_threads<T>(n: usize, f: impl FnOnce() -> T) -> T {
-    rayon::ThreadPoolBuilder::new()
-        .num_threads(n)
-        .build()
-        .expect("pool")
-        .install(f)
-}
-
 /// One observable-complete bulk-AND run: output bits, normalized trace
 /// bytes, and the wall seconds of the execute loop alone.
 struct AndRun {
@@ -73,7 +63,7 @@ struct AndRun {
 }
 
 /// Allocates operands spanning every bank of `config`'s device, runs
-/// `ITERS` bulk ANDs on the current pool, and fingerprints the result.
+/// `ITERS` bulk ANDs, and fingerprints the result.
 fn run_bulk_and(config: AmbitConfig, trace: bool) -> AndRun {
     let mut sys = AmbitSystem::new(config);
     sys.set_trace(trace);
@@ -103,114 +93,63 @@ fn run_bulk_and(config: AmbitConfig, trace: bool) -> AndRun {
     }
 }
 
-/// Critical path of the contiguous chunk schedule: `domains` costs split
-/// into `threads` contiguous chunks (the rayon fan-out policy), makespan
-/// is the heaviest chunk.
-fn makespan(domain_secs: &[f64], threads: usize) -> f64 {
-    let t = threads.clamp(1, domain_secs.len());
-    let chunk = domain_secs.len().div_ceil(t);
-    domain_secs
-        .chunks(chunk)
-        .map(|c| c.iter().sum::<f64>())
-        .fold(0.0, f64::max)
-}
-
-/// One thread count's efficiency point, from the schedule model: the
-/// machine's channel domains priced as independent shards (the engine
-/// itself replays on one thread).
-#[derive(Debug, Clone)]
-pub struct ThreadPoint {
-    /// Worker threads of the modeled pool.
-    pub threads: usize,
-    /// Critical path of the channel-domain schedule, in seconds.
-    pub makespan_secs: f64,
-    /// 64-bit output words per second at that makespan.
-    pub words_per_s: f64,
-    /// `words_per_s` relative to the 1-thread point.
-    pub speedup: f64,
-    /// `speedup / min(threads, channel domains)`.
-    pub efficiency: f64,
-}
-
-/// The 256-bank E1 sweep: identity checks plus efficiency points.
+/// The E1 sweep of one organization (256 banks in the report): identity
+/// checks plus measured costs.
 #[derive(Debug, Clone)]
 pub struct E1Scaling {
     /// Human-readable organization.
     pub org: String,
-    /// Total banks (256).
+    /// Total banks.
     pub banks: u32,
     /// 64-bit output words per measured run.
     pub words: u64,
-    /// Measured sequential whole-device seconds (schedule-model cross-check).
+    /// Measured sequential whole-device seconds.
     pub seq_secs: f64,
     /// Measured per-channel-domain seconds, channel order.
     pub domain_secs: Vec<f64>,
-    /// Runs under 1- and 2/4/8-thread pools agree on every output bit
-    /// and every normalized trace byte.
+    /// A repeat traced run matches the reference run's output bits and
+    /// normalized trace bytes, and every timing repetition its output.
     pub byte_identical: bool,
-    /// The protocol oracle accepts the sequential 256-bank trace.
+    /// The protocol oracle accepts the reference trace.
     pub oracle_clean: bool,
-    /// Efficiency points at [`THREAD_POINTS`].
-    pub points: Vec<ThreadPoint>,
 }
 
-/// Runs the 256-bank sweep: byte-identity at 2/4/8 threads, oracle
-/// acceptance, per-domain cost measurement, and the efficiency points.
-pub fn e1_scaling() -> E1Scaling {
-    let spec = spec_256();
+/// Runs the E1 sweep on `spec`'s device: a traced reference run, a
+/// traced repeat and `REPS` untraced timing repetitions checked against
+/// it, the oracle on its trace, then each channel domain's slice alone
+/// on a single-channel device of the same shape.
+pub fn e1_scaling(spec: DramSpec) -> E1Scaling {
     let org = spec.org;
-    let bits = spec.org.row_bits() as usize * spec.org.total_banks() as usize;
+    let bits = org.row_bits() as usize * org.total_banks() as usize;
     let words = (bits as u64 / 64) * ITERS as u64;
 
-    // Identity: the sequential run is the reference for every observable.
-    let base = with_threads(1, || run_bulk_and(config_for(spec.clone()), true));
+    let base = run_bulk_and(config_for(spec.clone()), true);
     let base_trace = base.trace.as_ref().expect("trace captured");
     let oracle_clean = pim_check::check_trace(
         &pim_check::Trace::from_bytes(base_trace).expect("trace parses"),
         pim_check::CheckOptions::timing_only(),
     )
     .is_ok();
-    let mut byte_identical = true;
-    for threads in [2usize, 4, 8] {
-        let run = with_threads(threads, || run_bulk_and(config_for(spec.clone()), true));
-        byte_identical &= run.out == base.out && run.trace.as_ref() == Some(base_trace);
+    let again = run_bulk_and(config_for(spec.clone()), true);
+    let mut byte_identical = again.out == base.out && again.trace.as_ref() == Some(base_trace);
+    let mut seq_secs = f64::INFINITY;
+    for _ in 0..REPS {
+        let run = run_bulk_and(config_for(spec.clone()), false);
+        byte_identical &= run.out == base.out;
+        seq_secs = seq_secs.min(run.secs);
     }
 
-    // Cost model: sequential whole-device time, then each channel
-    // domain's slice alone on a single-channel device of the same shape.
-    let seq_secs = with_threads(1, || {
-        (0..REPS)
-            .map(|_| run_bulk_and(config_for(spec.clone()), false).secs)
-            .fold(f64::INFINITY, f64::min)
-    });
     let domain_spec = DramSpec::ddr3_1600()
         .with_org(1, org.ranks, org.banks)
         .expect("one channel of a valid organization is valid");
-    let domain_secs: Vec<f64> = with_threads(1, || {
-        (0..org.channels)
-            .map(|_| {
-                (0..REPS)
-                    .map(|_| run_bulk_and(config_for(domain_spec.clone()), false).secs)
-                    .fold(f64::INFINITY, f64::min)
-            })
-            .collect()
-    });
-
-    let m1 = makespan(&domain_secs, 1);
-    let points = THREAD_POINTS
-        .iter()
-        .map(|&threads| {
-            let m = makespan(&domain_secs, threads);
-            let speedup = m1 / m;
-            ThreadPoint {
-                threads,
-                makespan_secs: m,
-                words_per_s: words as f64 / m,
-                speedup,
-                efficiency: speedup / threads.min(domain_secs.len()) as f64,
-            }
+    let domain_secs = (0..org.channels)
+        .map(|_| {
+            (0..REPS)
+                .map(|_| run_bulk_and(config_for(domain_spec.clone()), false).secs)
+                .fold(f64::INFINITY, f64::min)
         })
         .collect();
+
     E1Scaling {
         org: format!(
             "{}ch x {}ra x {}ba ({} banks)",
@@ -225,7 +164,6 @@ pub fn e1_scaling() -> E1Scaling {
         domain_secs,
         byte_identical,
         oracle_clean,
-        points,
     }
 }
 
@@ -267,7 +205,7 @@ pub fn multi_stack() -> MultiStack {
     let vaults = TesseractConfig::isca2015().stack.vaults;
     let base = TesseractSim::new(TesseractConfig::isca2015().with_stacks(1)).run(kernel, &graph);
     let mut points = Vec::new();
-    for stacks in [1u32, 4, 16] {
+    for stacks in STACK_POINTS {
         let sim = TesseractSim::new(TesseractConfig::isca2015().with_stacks(stacks));
         let t0 = Instant::now();
         let (output, trace, _) = sim.run(kernel, &graph);
@@ -331,59 +269,55 @@ pub struct Interference {
 /// Measures the interference ablation on the 256-bank device. All three
 /// scenarios are simulated-cycle counts, so the result is deterministic.
 pub fn interference() -> Interference {
-    // Simulated cycles are thread-invariant; sequential replay keeps the
-    // three scenarios cheap.
-    with_threads(1, || {
-        let build = || {
-            let mut sys = AmbitSystem::new(config_for(spec_256()));
-            let bits = sys.row_bits() * sys.spec().org.total_banks() as usize;
-            let mut rng = rand::rngs::StdRng::seed_from_u64(11);
-            let a = sys.alloc(bits).expect("alloc a");
-            let b = sys.alloc(bits).expect("alloc b");
-            let out = sys.alloc(bits).expect("alloc out");
-            let host = sys.alloc(bits).expect("alloc host buffer");
-            sys.write(&a, &BitVec::random(bits, 0.5, &mut rng))
-                .expect("write a");
-            sys.write(&b, &BitVec::random(bits, 0.5, &mut rng))
-                .expect("write b");
-            (sys, a, b, out, host)
-        };
-        let compute_cycles = {
-            let (mut sys, a, b, out, _host) = build();
-            let start = sys.clock();
-            for _ in 0..ITERS {
-                sys.execute(BulkOp::And, &a, Some(&b), &out)
-                    .expect("execute");
-            }
-            sys.clock() - start
-        };
-        let host_cycles = {
-            let (mut sys, _a, _b, _out, host) = build();
-            let start = sys.clock();
-            for _ in 0..ITERS {
-                sys.host_stream(&host, false).expect("host stream");
-            }
-            sys.clock() - start
-        };
-        let interleaved_cycles = {
-            let (mut sys, a, b, out, host) = build();
-            let start = sys.clock();
-            for _ in 0..ITERS {
-                sys.execute(BulkOp::And, &a, Some(&b), &out)
-                    .expect("execute");
-                sys.host_stream(&host, false).expect("host stream");
-            }
-            sys.clock() - start
-        };
-        Interference {
-            compute_cycles,
-            host_cycles,
-            interleaved_cycles,
-            slowdown: interleaved_cycles as f64 / compute_cycles as f64,
-            bus_tax: host_cycles as f64 / compute_cycles as f64,
-            overhead_cycles: interleaved_cycles as i64 - compute_cycles as i64 - host_cycles as i64,
+    let build = || {
+        let mut sys = AmbitSystem::new(config_for(spec_256()));
+        let bits = sys.row_bits() * sys.spec().org.total_banks() as usize;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(11);
+        let a = sys.alloc(bits).expect("alloc a");
+        let b = sys.alloc(bits).expect("alloc b");
+        let out = sys.alloc(bits).expect("alloc out");
+        let host = sys.alloc(bits).expect("alloc host buffer");
+        sys.write(&a, &BitVec::random(bits, 0.5, &mut rng))
+            .expect("write a");
+        sys.write(&b, &BitVec::random(bits, 0.5, &mut rng))
+            .expect("write b");
+        (sys, a, b, out, host)
+    };
+    let compute_cycles = {
+        let (mut sys, a, b, out, _host) = build();
+        let start = sys.clock();
+        for _ in 0..ITERS {
+            sys.execute(BulkOp::And, &a, Some(&b), &out)
+                .expect("execute");
         }
-    })
+        sys.clock() - start
+    };
+    let host_cycles = {
+        let (mut sys, _a, _b, _out, host) = build();
+        let start = sys.clock();
+        for _ in 0..ITERS {
+            sys.host_stream(&host, false).expect("host stream");
+        }
+        sys.clock() - start
+    };
+    let interleaved_cycles = {
+        let (mut sys, a, b, out, host) = build();
+        let start = sys.clock();
+        for _ in 0..ITERS {
+            sys.execute(BulkOp::And, &a, Some(&b), &out)
+                .expect("execute");
+            sys.host_stream(&host, false).expect("host stream");
+        }
+        sys.clock() - start
+    };
+    Interference {
+        compute_cycles,
+        host_cycles,
+        interleaved_cycles,
+        slowdown: interleaved_cycles as f64 / compute_cycles as f64,
+        bus_tax: host_cycles as f64 / compute_cycles as f64,
+        overhead_cycles: interleaved_cycles as i64 - compute_cycles as i64 - host_cycles as i64,
+    }
 }
 
 /// The full scaling report.
@@ -402,14 +336,14 @@ pub struct ScalingReport {
 /// Runs all three experiment families.
 pub fn run() -> ScalingReport {
     ScalingReport {
-        e1: e1_scaling(),
+        e1: e1_scaling(spec_256()),
         multi_stack: multi_stack(),
         interference: interference(),
         host_cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
     }
 }
 
-/// The report as the `PIMSCALE01` JSON value tree.
+/// The report as the `PIMSCALE02` JSON value tree.
 pub fn to_value(r: &ScalingReport) -> Value {
     let mut root = Map::new();
     root.insert("format", Value::Str(SCALING_TAG.into()));
@@ -427,23 +361,6 @@ pub fn to_value(r: &ScalingReport) -> Value {
     );
     e1.insert("byte_identical", Value::Bool(r.e1.byte_identical));
     e1.insert("oracle_clean", Value::Bool(r.e1.oracle_clean));
-    e1.insert(
-        "points",
-        Value::Array(
-            r.e1.points
-                .iter()
-                .map(|p| {
-                    let mut m = Map::new();
-                    m.insert("threads", Value::Num(p.threads as f64));
-                    m.insert("makespan_secs", Value::Num(p.makespan_secs));
-                    m.insert("words_per_s", Value::Num(p.words_per_s));
-                    m.insert("speedup", Value::Num(p.speedup));
-                    m.insert("efficiency", Value::Num(p.efficiency));
-                    Value::Object(m)
-                })
-                .collect(),
-        ),
-    );
     root.insert("e1_256bank", Value::Object(e1));
 
     let mut ms = Map::new();
@@ -490,11 +407,11 @@ pub fn to_value(r: &ScalingReport) -> Value {
 }
 
 /// Checks the regression bands over a `BENCH_scaling.json` value tree.
-/// This is the CI gate: identity and oracle flags must hold, the
-/// channel-domain schedule must reach 1.5x/2.5x/3.0x at 2/4/8 threads,
-/// every stack count must leave the observables unchanged with a
-/// balanced per-stack split,
-/// and host interference must cost something without exploding.
+/// This is the CI gate: identity and oracle flags must hold, no channel
+/// domain may cost more than a third of the domain sum, the 1-, 4- and
+/// 16-stack runs must leave the observables unchanged with a balanced
+/// per-stack split, and host interference must cost something without
+/// exploding.
 ///
 /// # Errors
 ///
@@ -518,22 +435,23 @@ pub fn check_bands(v: &Value) -> Result<(), String> {
     if e1["banks"].as_u64() != Some(256) {
         return Err(format!("e1_256bank.banks must be 256: {:?}", e1["banks"]));
     }
-    let Value::Array(points) = &e1["points"] else {
-        return Err("e1_256bank.points is not an array".into());
+    let Value::Array(domains) = &e1["domain_secs"] else {
+        return Err("e1_256bank.domain_secs is not an array".into());
     };
-    for (threads, floor) in [(2u64, 1.5f64), (4, 2.5), (8, 3.0)] {
-        let p = points
-            .iter()
-            .find(|p| p["threads"].as_u64() == Some(threads))
-            .ok_or(format!("missing {threads}-thread point"))?;
-        let speedup = p["speedup"]
-            .as_f64()
-            .ok_or(format!("{threads}-thread speedup is not a number"))?;
-        if speedup < floor {
-            return Err(format!(
-                "efficiency regression: {speedup:.2}x words/s at {threads} threads (band: >= {floor}x)"
-            ));
-        }
+    let domain_secs: Vec<f64> = domains
+        .iter()
+        .map(|d| d.as_f64().filter(|s| s.is_finite() && *s > 0.0))
+        .collect::<Option<_>>()
+        .ok_or("e1_256bank.domain_secs must hold finite positive seconds")?;
+    if domain_secs.is_empty() {
+        return Err("e1_256bank.domain_secs is empty".into());
+    }
+    let balance = domain_secs.iter().sum::<f64>() / domain_secs.iter().copied().fold(0.0, f64::max);
+    if balance < MIN_DOMAIN_BALANCE {
+        return Err(format!(
+            "channel-domain imbalance: the costliest domain takes {:.1}% of the domain sum (band: <= 1/3)",
+            100.0 / balance
+        ));
     }
     let ms = &v["e5_multi_stack"];
     obj(ms, "e5_multi_stack")?;
@@ -548,6 +466,14 @@ pub fn check_bands(v: &Value) -> Result<(), String> {
         let balance = p["balance"].as_f64().ok_or("stack point lacks `balance`")?;
         if stacks > 1 && balance < 0.5 {
             return Err(format!("{stacks}-stack balance {balance:.2} below 0.5"));
+        }
+    }
+    for stacks in STACK_POINTS {
+        if !stack_points
+            .iter()
+            .any(|p| p["stacks"].as_u64() == Some(u64::from(stacks)))
+        {
+            return Err(format!("e5_multi_stack lacks the {stacks}-stack point"));
         }
     }
     let hi = &v["host_interference"];
@@ -578,81 +504,84 @@ pub fn check_bands(v: &Value) -> Result<(), String> {
     Ok(())
 }
 
-/// Renders the efficiency points as the table EXPERIMENTS.md records.
+/// Renders the measured costs as the table EXPERIMENTS.md records: the
+/// whole-device sequential time, each channel domain's time and share of
+/// the domain sum, and the sum itself.
 pub fn table(r: &ScalingReport) -> Table {
+    let sum: f64 = r.e1.domain_secs.iter().sum();
     let mut t = Table::new(
         format!(
-            "Scaling: 256-bank bulk-AND ({}) — channel-shard schedule over measured domain costs",
+            "Scaling: 256-bank bulk-AND ({}) — measured host time",
             r.e1.org
         ),
-        &["threads", "words/s", "speedup", "efficiency"],
+        &["run", "ms", "share of domain sum"],
     );
-    for p in &r.e1.points {
+    t.row(vec![
+        Cell::Text("whole device, sequential".into()),
+        Cell::Num(r.e1.seq_secs * 1e3),
+        Cell::Text("-".into()),
+    ]);
+    for (channel, &secs) in r.e1.domain_secs.iter().enumerate() {
         t.row(vec![
-            Cell::Num(p.threads as f64),
-            Cell::Num(p.words_per_s),
-            Cell::Ratio(p.speedup),
-            Cell::Percent(p.efficiency),
+            Cell::Text(format!("channel {channel} alone")),
+            Cell::Num(secs * 1e3),
+            Cell::Percent(secs / sum),
         ]);
     }
+    t.row(vec![
+        Cell::Text("domain sum".into()),
+        Cell::Num(sum * 1e3),
+        Cell::Percent(1.0),
+    ]);
     t
+}
+
+/// The report path: `--out <path>`, else `results/BENCH_scaling.json`.
+///
+/// # Errors
+///
+/// `--out` with no path after it, which must not fall back to
+/// overwriting the committed report.
+pub fn out_path(args: &[String]) -> Result<PathBuf, String> {
+    let mut iter = args.iter();
+    while let Some(arg) = iter.next() {
+        if arg == "--out" {
+            return iter
+                .next()
+                .map(PathBuf::from)
+                .ok_or_else(|| "--out needs a path".to_string());
+        }
+    }
+    Ok(PathBuf::from("results").join("BENCH_scaling.json"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn makespan_follows_the_contiguous_chunk_schedule() {
-        let d = [1.0, 2.0, 3.0, 4.0];
-        assert_eq!(makespan(&d, 1), 10.0);
-        // Two threads: chunks [1,2] and [3,4].
-        assert_eq!(makespan(&d, 2), 7.0);
-        assert_eq!(makespan(&d, 4), 4.0);
-        // More threads than domains: capped at one domain per thread.
-        assert_eq!(makespan(&d, 8), 4.0);
-        // Uneven split: ceil(5/2)=3 -> chunks [1,1,1], [1,1].
-        assert_eq!(makespan(&[1.0; 5], 2), 3.0);
-    }
-
     /// A synthetic in-band report: 4 equal domains, perfect identity.
     fn good_report() -> ScalingReport {
-        let domain_secs = vec![1.0; 4];
-        let m1 = makespan(&domain_secs, 1);
-        let points = THREAD_POINTS
-            .iter()
-            .map(|&threads| {
-                let m = makespan(&domain_secs, threads);
-                ThreadPoint {
-                    threads,
-                    makespan_secs: m,
-                    words_per_s: 1e6 / m,
-                    speedup: m1 / m,
-                    efficiency: (m1 / m) / threads.min(4) as f64,
-                }
-            })
-            .collect();
+        let stack_point = |stacks| StackPoint {
+            stacks,
+            identical: true,
+            max_stack_work: 100,
+            balance: 0.9,
+            secs: 0.1,
+        };
         ScalingReport {
             e1: E1Scaling {
                 org: "4ch x 4ra x 16ba (256 banks)".into(),
                 banks: 256,
                 words: 1_000_000,
                 seq_secs: 4.0,
-                domain_secs,
+                domain_secs: vec![1.0; 4],
                 byte_identical: true,
                 oracle_clean: true,
-                points,
             },
             multi_stack: MultiStack {
                 kernel: "pagerank".into(),
                 vaults: 512,
-                points: vec![StackPoint {
-                    stacks: 16,
-                    identical: true,
-                    max_stack_work: 100,
-                    balance: 0.9,
-                    secs: 0.1,
-                }],
+                points: STACK_POINTS.iter().map(|&s| stack_point(s)).collect(),
             },
             interference: Interference {
                 compute_cycles: 100,
@@ -666,6 +595,10 @@ mod tests {
         }
     }
 
+    fn band_error(r: &ScalingReport) -> String {
+        check_bands(&to_value(r)).expect_err("report must be out of band")
+    }
+
     #[test]
     fn bands_accept_a_good_report_and_reject_regressions() {
         let good = good_report();
@@ -673,40 +606,141 @@ mod tests {
 
         let mut diverged = good.clone();
         diverged.e1.byte_identical = false;
-        assert!(check_bands(&to_value(&diverged))
-            .unwrap_err()
-            .contains("byte_identical"));
+        assert!(band_error(&diverged).contains("byte_identical"));
 
+        let mut rejected = good.clone();
+        rejected.e1.oracle_clean = false;
+        assert!(band_error(&rejected).contains("oracle_clean"));
+
+        // One domain carrying all the cost: the old floors' 1.0x case.
         let mut slow = good.clone();
-        for p in &mut slow.e1.points {
-            p.speedup = 1.0;
-        }
-        assert!(check_bands(&to_value(&slow))
-            .unwrap_err()
-            .contains("efficiency regression"));
+        slow.e1.domain_secs = vec![4.0, 1e-9, 1e-9, 1e-9];
+        assert!(band_error(&slow).contains("channel-domain imbalance"));
+
+        let mut lopsided = good.clone();
+        lopsided.e1.domain_secs = vec![1.0, 1.0, 1.0, 1.6];
+        assert!(band_error(&lopsided).contains("channel-domain imbalance"));
 
         let mut skewed = good.clone();
-        skewed.multi_stack.points[0].balance = 0.1;
-        assert!(check_bands(&to_value(&skewed))
-            .unwrap_err()
-            .contains("balance"));
+        skewed.multi_stack.points[2].balance = 0.1;
+        assert!(band_error(&skewed).contains("balance"));
 
         let mut unshared = good;
         unshared.interference.slowdown = 0.9;
-        assert!(check_bands(&to_value(&unshared))
-            .unwrap_err()
-            .contains("slowdown"));
+        assert!(band_error(&unshared).contains("slowdown"));
     }
 
-    /// Quick end-to-end identity check on a smaller multi-channel shape
-    /// (the full 256-bank run is the bin's job, gated in CI).
     #[test]
-    fn sharded_and_sequential_small_sweep_are_byte_identical() {
+    fn bands_reject_missing_stack_points_and_unusable_domain_costs() {
+        for stacks in STACK_POINTS {
+            let mut r = good_report();
+            r.multi_stack.points.retain(|p| p.stacks != stacks);
+            assert!(band_error(&r).contains(&format!("lacks the {stacks}-stack point")));
+        }
+        let mut r = good_report();
+        r.multi_stack.points.clear();
+        assert!(band_error(&r).contains("lacks the 1-stack point"));
+
+        let mut r = good_report();
+        r.e1.domain_secs.clear();
+        assert!(band_error(&r).contains("domain_secs is empty"));
+        for bad in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let mut r = good_report();
+            r.e1.domain_secs[1] = bad;
+            assert!(
+                band_error(&r).contains("finite positive"),
+                "domain cost {bad} must be rejected"
+            );
+        }
+    }
+
+    /// The floors the balance band replaces: speedups of 1.5x/2.5x/3.0x
+    /// at 2/4/8 threads from a contiguous-chunk schedule of the domains.
+    fn old_floors_hold(domain_secs: &[f64]) -> bool {
+        let heaviest_chunk = |threads: usize| {
+            let chunk = domain_secs
+                .len()
+                .div_ceil(threads.clamp(1, domain_secs.len()));
+            domain_secs
+                .chunks(chunk)
+                .map(|c| c.iter().sum::<f64>())
+                .fold(0.0, f64::max)
+        };
+        [(2, 1.5), (4, 2.5), (8, 3.0)]
+            .into_iter()
+            .all(|(threads, floor)| heaviest_chunk(1) / heaviest_chunk(threads) >= floor)
+    }
+
+    #[test]
+    fn balance_band_rejects_every_report_the_old_floors_reject() {
+        let grid: [f64; 9] = [0.25, 0.5, 0.9, 1.0, 1.1, 1.5, 2.0, 3.0, 7.0];
+        let mut vectors = Vec::new();
+        for &a in &grid {
+            for &b in &grid {
+                for &c in &grid {
+                    for &d in &grid {
+                        vectors.push([a, b, c, d]);
+                    }
+                }
+            }
+        }
+        // The 1/3 boundary: a domain costing half the other three costs
+        // exactly a third of the sum, plus its neighbouring floats.
+        for &a in &grid {
+            for &b in &grid {
+                for &c in &[0.3, 1.0, 1.7] {
+                    let edge = (a + b + c) / 2.0;
+                    for d in [edge.next_down(), edge, edge.next_up()] {
+                        vectors.extend([[a, b, c, d], [d, a, b, c], [a, d, b, c]]);
+                    }
+                }
+            }
+        }
+        let (mut passed, mut failed) = (0, 0);
+        for v in vectors {
+            let mut r = good_report();
+            r.e1.domain_secs = v.to_vec();
+            let new_band = check_bands(&to_value(&r)).is_ok();
+            assert_eq!(
+                new_band,
+                old_floors_hold(&v),
+                "{v:?}: the balance band and the old floors disagree"
+            );
+            if new_band {
+                passed += 1;
+            } else {
+                failed += 1;
+            }
+        }
+        assert!(passed > 100 && failed > 100, "{passed} pass, {failed} fail");
+    }
+
+    /// The identity check on a smaller multi-channel shape (the full
+    /// 256-bank run is the bin's job, gated in CI).
+    #[test]
+    fn small_device_runs_are_byte_identical() {
         let spec = DramSpec::ddr3_1600().with_org(2, 2, 8).expect("valid org");
-        let base = with_threads(1, || run_bulk_and(config_for(spec.clone()), true));
-        let run = with_threads(4, || run_bulk_and(config_for(spec.clone()), true));
-        assert_eq!(run.out, base.out);
-        assert_eq!(run.trace, base.trace);
+        let e1 = e1_scaling(spec);
+        assert!(e1.byte_identical);
+        assert!(e1.oracle_clean);
+        assert_eq!(e1.domain_secs.len(), 2);
+    }
+
+    #[test]
+    fn out_path_defaults_to_the_committed_report_and_needs_a_value() {
+        let args = |a: &[&str]| a.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        assert_eq!(
+            out_path(&args(&[])),
+            Ok(PathBuf::from("results").join("BENCH_scaling.json"))
+        );
+        assert_eq!(
+            out_path(&args(&["--out", "out/s.json"])),
+            Ok(PathBuf::from("out/s.json"))
+        );
+        assert_eq!(
+            out_path(&args(&["--out"])),
+            Err("--out needs a path".to_string())
+        );
     }
 
     #[test]
