@@ -20,6 +20,7 @@
 
 use crate::Cycle;
 use std::borrow::Cow;
+use std::fmt;
 
 /// A timeline track inside one group (one engine or backend).
 ///
@@ -55,16 +56,10 @@ impl Lane {
         }
     }
 
-    /// The stable JSON/track label (`bank/7`, `vault/3`, `queue`, …).
+    /// The stable JSON/track label (`bank/7`, `vault/3`, `queue`, …);
+    /// the lane's `Display` text.
     pub fn label(&self) -> String {
-        match *self {
-            Lane::Queue => "queue".to_string(),
-            Lane::Jobs => "jobs".to_string(),
-            Lane::Bank(i) => format!("bank/{i}"),
-            Lane::Rank(i) => format!("rank/{i}"),
-            Lane::Channel(i) => format!("channel/{i}"),
-            Lane::Vault(i) => format!("vault/{i}"),
-        }
+        self.to_string()
     }
 
     /// Parses a label produced by [`Lane::label`].
@@ -82,6 +77,19 @@ impl Lane {
             "channel" => Some(Lane::Channel(i)),
             "vault" => Some(Lane::Vault(i)),
             _ => None,
+        }
+    }
+}
+
+impl fmt::Display for Lane {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            Lane::Queue => f.write_str("queue"),
+            Lane::Jobs => f.write_str("jobs"),
+            Lane::Bank(i) => write!(f, "bank/{i}"),
+            Lane::Rank(i) => write!(f, "rank/{i}"),
+            Lane::Channel(i) => write!(f, "channel/{i}"),
+            Lane::Vault(i) => write!(f, "vault/{i}"),
         }
     }
 }
@@ -249,7 +257,7 @@ mod tests {
             Lane::Channel(3),
             Lane::Vault(31),
         ] {
-            assert_eq!(Lane::from_label(&lane.label()), Some(lane));
+            assert_eq!(Lane::from_label(&lane.to_string()), Some(lane));
         }
         assert_eq!(Lane::from_label("bogus/1"), None);
         assert_eq!(Lane::from_label("bank/x"), None);

@@ -43,7 +43,7 @@ use pim_telemetry::json::{
     as_array, as_object, f64_field, field, format_tag, opt_bool_field, opt_object_field,
     opt_u64_field, str_field, string_map, u32_field, u64_field, FieldError,
 };
-use serde_json::{Map, Value};
+use serde_json::{Map, Value, Writer};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -148,142 +148,186 @@ impl Profile {
         self.groups.iter().map(|g| g.events.len()).sum()
     }
 
-    /// The profile as a JSON value tree.
-    pub fn to_value(&self) -> Value {
-        let mut root = Map::new();
-        root.insert("format", Value::Str(FORMAT_TAG.to_string()));
-        root.insert("displayTimeUnit", Value::Str("ns".to_string()));
-
-        let mut meta = Map::new();
-        for (k, v) in &self.meta {
-            meta.insert(k.clone(), Value::Str(v.clone()));
-        }
-        root.insert("meta", Value::Object(meta));
-
-        let mut groups = Vec::with_capacity(self.groups.len());
-        for g in &self.groups {
-            let mut m = Map::new();
-            m.insert("name", Value::Str(g.name.clone()));
-            m.insert("ns_per_cycle", Value::Num(g.ns_per_cycle));
-            let mut events = Vec::with_capacity(g.events.len());
-            for e in &g.events {
-                let mut ev = Map::new();
-                ev.insert("lane", Value::Str(e.lane.label()));
-                ev.insert("name", Value::Str(e.name.to_string()));
-                ev.insert("start", Value::Num(e.start as f64));
-                ev.insert("end", Value::Num(e.end as f64));
-                if let Some(job) = e.job {
-                    ev.insert("job", Value::Num(job as f64));
-                }
-                if let Some(value) = e.value {
-                    ev.insert("value", Value::Num(value as f64));
-                }
-                events.push(Value::Object(ev));
-            }
-            m.insert("events", Value::Array(events));
-            groups.push(Value::Object(m));
-        }
-        root.insert("groups", Value::Array(groups));
-
-        let mut jobs = Vec::with_capacity(self.jobs.len());
-        for j in &self.jobs {
-            let mut m = Map::new();
-            m.insert("id", Value::Num(j.id as f64));
-            m.insert("kind", Value::Str(j.kind.clone()));
-            m.insert("backend", Value::Str(j.backend.clone()));
-            m.insert("queue_depth", Value::Num(j.queue_depth as f64));
-            m.insert(
-                "advised",
-                match j.advised {
-                    Some(b) => Value::Bool(b),
-                    None => Value::Null,
-                },
-            );
-            m.insert("est_ns", Value::Num(j.est_ns));
-            m.insert("est_nj", Value::Num(j.est_nj));
-            m.insert("actual_ns", Value::Num(j.actual_ns));
-            m.insert("actual_nj", Value::Num(j.actual_nj));
-            m.insert("commands", Value::Num(j.commands as f64));
-            m.insert("group", Value::Num(j.group as f64));
-            m.insert(
-                "phases",
-                match &j.phases {
-                    Some(p) => {
-                        let mut x = Map::new();
-                        x.insert("submit", Value::Num(p.submit as f64));
-                        x.insert("batch_start", Value::Num(p.batch_start as f64));
-                        x.insert("exec_start", Value::Num(p.exec_start as f64));
-                        x.insert("exec_end", Value::Num(p.exec_end as f64));
-                        x.insert("drain_end", Value::Num(p.drain_end as f64));
-                        Value::Object(x)
-                    }
-                    None => Value::Null,
-                },
-            );
-            jobs.push(Value::Object(m));
-        }
-        root.insert("jobs", Value::Array(jobs));
-
-        root.insert("traceEvents", Value::Array(self.to_chrome_events()));
-        Value::Object(root)
-    }
-
-    /// Derives the Chrome Trace Event array: per-group process
-    /// metadata, per-lane thread metadata, then `ph:"X"` slices and
-    /// `ph:"C"` counters with microsecond timestamps.
-    fn to_chrome_events(&self) -> Vec<Value> {
-        let mut out = Vec::new();
-        for (gi, g) in self.groups.iter().enumerate() {
-            let pid = gi as u64 + 1;
-            out.push(chrome_meta(pid, None, "process_name", &g.name));
-            let lanes = g.lanes();
-            let tid_of = |lane: Lane| -> u64 {
-                lanes.iter().position(|&l| l == lane).unwrap_or(0) as u64 + 1
-            };
-            for &lane in &lanes {
-                out.push(chrome_meta(
-                    pid,
-                    Some(tid_of(lane)),
-                    "thread_name",
-                    &lane.label(),
-                ));
-            }
-            let us = |cycles: u64| cycles as f64 * g.ns_per_cycle / 1000.0;
-            for e in &g.events {
-                let mut m = Map::new();
-                m.insert("name", Value::Str(e.name.to_string()));
-                m.insert("pid", Value::Num(pid as f64));
-                m.insert("tid", Value::Num(tid_of(e.lane) as f64));
-                m.insert("ts", Value::Num(us(e.start)));
-                if let Some(value) = e.value {
-                    m.insert("ph", Value::Str("C".to_string()));
-                    let mut args = Map::new();
-                    args.insert(&*e.name, Value::Num(value as f64));
-                    m.insert("args", Value::Object(args));
-                } else {
-                    m.insert("ph", Value::Str("X".to_string()));
-                    m.insert("dur", Value::Num(us(e.end) - us(e.start)));
-                    if let Some(job) = e.job {
-                        let mut args = Map::new();
-                        args.insert("job", Value::Num(job as f64));
-                        m.insert("args", Value::Object(args));
-                    }
-                }
-                out.push(Value::Object(m));
-            }
-        }
-        out
-    }
-
     /// Serializes to compact JSON. Deterministic: normalized events,
     /// id-sorted jobs, sorted metadata keys.
     pub fn to_json_string(&self) -> String {
-        serde_json::to_string(&self.to_value()).expect("profile values are finite")
+        self.write_json(Writer::compact())
     }
 
     /// Serializes to indented JSON (the `--profile` report format).
     pub fn to_json_string_pretty(&self) -> String {
-        serde_json::to_string_pretty(&self.to_value()).expect("profile values are finite")
+        self.write_json(Writer::pretty())
+    }
+
+    /// Streams the envelope into `w`, member by member, in the layout of
+    /// the module docs: every number goes through `f64`, as a `Value`
+    /// tree would hold it.
+    fn write_json(&self, mut w: Writer) -> String {
+        self.write_members(&mut w)
+            .expect("profile values are finite");
+        w.into_string()
+    }
+
+    fn write_members(&self, w: &mut Writer) -> Result<(), serde_json::Error> {
+        w.begin_object();
+        w.key("format");
+        w.string(FORMAT_TAG);
+        w.key("displayTimeUnit");
+        w.string("ns");
+        w.key("meta");
+        w.begin_object();
+        for (k, v) in &self.meta {
+            w.key(k);
+            w.string(v);
+        }
+        w.end_object();
+
+        w.key("groups");
+        w.begin_array();
+        for g in &self.groups {
+            w.begin_object();
+            w.key("name");
+            w.string(&g.name);
+            w.key("ns_per_cycle");
+            w.number(g.ns_per_cycle)?;
+            w.key("events");
+            w.begin_array();
+            for e in &g.events {
+                w.begin_object();
+                w.key("lane");
+                w.display(e.lane);
+                w.key("name");
+                w.string(&e.name);
+                w.key("start");
+                w.number(e.start as f64)?;
+                w.key("end");
+                w.number(e.end as f64)?;
+                if let Some(job) = e.job {
+                    w.key("job");
+                    w.number(job as f64)?;
+                }
+                if let Some(value) = e.value {
+                    w.key("value");
+                    w.number(value as f64)?;
+                }
+                w.end_object();
+            }
+            w.end_array();
+            w.end_object();
+        }
+        w.end_array();
+
+        w.key("jobs");
+        w.begin_array();
+        for j in &self.jobs {
+            w.begin_object();
+            w.key("id");
+            w.number(j.id as f64)?;
+            w.key("kind");
+            w.string(&j.kind);
+            w.key("backend");
+            w.string(&j.backend);
+            w.key("queue_depth");
+            w.number(f64::from(j.queue_depth))?;
+            w.key("advised");
+            match j.advised {
+                Some(b) => w.bool(b),
+                None => w.null(),
+            }
+            for (k, n) in [
+                ("est_ns", j.est_ns),
+                ("est_nj", j.est_nj),
+                ("actual_ns", j.actual_ns),
+                ("actual_nj", j.actual_nj),
+                ("commands", j.commands as f64),
+                ("group", f64::from(j.group)),
+            ] {
+                w.key(k);
+                w.number(n)?;
+            }
+            w.key("phases");
+            match &j.phases {
+                Some(p) => {
+                    w.begin_object();
+                    for (k, cycle) in [
+                        ("submit", p.submit),
+                        ("batch_start", p.batch_start),
+                        ("exec_start", p.exec_start),
+                        ("exec_end", p.exec_end),
+                        ("drain_end", p.drain_end),
+                    ] {
+                        w.key(k);
+                        w.number(cycle as f64)?;
+                    }
+                    w.end_object();
+                }
+                None => w.null(),
+            }
+            w.end_object();
+        }
+        w.end_array();
+
+        w.key("traceEvents");
+        w.begin_array();
+        self.write_chrome_events(w)?;
+        w.end_array();
+        w.end_object();
+        Ok(())
+    }
+
+    /// Streams the derived Chrome Trace Event array's members: per-group
+    /// process metadata, per-lane thread metadata, then `ph:"X"` slices
+    /// and `ph:"C"` counters with microsecond timestamps.
+    fn write_chrome_events(&self, w: &mut Writer) -> Result<(), serde_json::Error> {
+        for (gi, g) in self.groups.iter().enumerate() {
+            let pid = (gi + 1) as f64;
+            write_chrome_meta(w, pid, None, "process_name", &g.name)?;
+            let lanes = g.lanes();
+            // `lanes` is sorted by the (injective) lane sort key.
+            let tid_of = |lane: Lane| -> f64 {
+                let i = lanes
+                    .binary_search_by_key(&lane.sort_key(), Lane::sort_key)
+                    .unwrap_or(0);
+                (i + 1) as f64
+            };
+            for (i, lane) in lanes.iter().enumerate() {
+                write_chrome_meta(w, pid, Some((i + 1) as f64), "thread_name", lane)?;
+            }
+            let us = |cycles: u64| cycles as f64 * g.ns_per_cycle / 1000.0;
+            for e in &g.events {
+                w.begin_object();
+                w.key("name");
+                w.string(&e.name);
+                w.key("pid");
+                w.number(pid)?;
+                w.key("tid");
+                w.number(tid_of(e.lane))?;
+                w.key("ts");
+                w.number(us(e.start))?;
+                w.key("ph");
+                if let Some(value) = e.value {
+                    w.string("C");
+                    w.key("args");
+                    w.begin_object();
+                    w.key(&e.name);
+                    w.number(value as f64)?;
+                    w.end_object();
+                } else {
+                    w.string("X");
+                    w.key("dur");
+                    w.number(us(e.end) - us(e.start))?;
+                    if let Some(job) = e.job {
+                        w.key("args");
+                        w.begin_object();
+                        w.key("job");
+                        w.number(job as f64)?;
+                        w.end_object();
+                    }
+                }
+                w.end_object();
+            }
+        }
+        Ok(())
     }
 
     /// Parses a profile back from JSON: the text is parsed, then
@@ -440,24 +484,184 @@ fn trace_event(e: &Map) -> Result<TraceEvent, FieldError> {
     })
 }
 
-fn chrome_meta(pid: u64, tid: Option<u64>, what: &str, name: &str) -> Value {
-    let mut m = Map::new();
-    m.insert("name", Value::Str(what.to_string()));
-    m.insert("ph", Value::Str("M".to_string()));
-    m.insert("pid", Value::Num(pid as f64));
+/// Writes one Chrome `ph:"M"` metadata event naming a process (no
+/// `tid`) or a thread.
+fn write_chrome_meta(
+    w: &mut Writer,
+    pid: f64,
+    tid: Option<f64>,
+    what: &str,
+    name: impl fmt::Display,
+) -> Result<(), serde_json::Error> {
+    w.begin_object();
+    w.key("name");
+    w.string(what);
+    w.key("ph");
+    w.string("M");
+    w.key("pid");
+    w.number(pid)?;
     if let Some(tid) = tid {
-        m.insert("tid", Value::Num(tid as f64));
+        w.key("tid");
+        w.number(tid)?;
     }
-    let mut args = Map::new();
-    args.insert("name", Value::Str(name.to_string()));
-    m.insert("args", Value::Object(args));
-    Value::Object(m)
+    w.key("args");
+    w.begin_object();
+    w.key("name");
+    w.display(name);
+    w.end_object();
+    w.end_object();
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::event::Lane;
+
+    /// The tree builder the streaming export replaced, kept as its
+    /// oracle: [`Profile::to_json_string`] must print what
+    /// `serde_json::to_string` prints for this tree, byte for byte.
+    impl Profile {
+        fn to_value(&self) -> Value {
+            let mut root = Map::new();
+            root.insert("format", Value::Str(FORMAT_TAG.to_string()));
+            root.insert("displayTimeUnit", Value::Str("ns".to_string()));
+
+            let mut meta = Map::new();
+            for (k, v) in &self.meta {
+                meta.insert(k.clone(), Value::Str(v.clone()));
+            }
+            root.insert("meta", Value::Object(meta));
+
+            let mut groups = Vec::with_capacity(self.groups.len());
+            for g in &self.groups {
+                let mut m = Map::new();
+                m.insert("name", Value::Str(g.name.clone()));
+                m.insert("ns_per_cycle", Value::Num(g.ns_per_cycle));
+                let mut events = Vec::with_capacity(g.events.len());
+                for e in &g.events {
+                    let mut ev = Map::new();
+                    ev.insert("lane", Value::Str(e.lane.label()));
+                    ev.insert("name", Value::Str(e.name.to_string()));
+                    ev.insert("start", Value::Num(e.start as f64));
+                    ev.insert("end", Value::Num(e.end as f64));
+                    if let Some(job) = e.job {
+                        ev.insert("job", Value::Num(job as f64));
+                    }
+                    if let Some(value) = e.value {
+                        ev.insert("value", Value::Num(value as f64));
+                    }
+                    events.push(Value::Object(ev));
+                }
+                m.insert("events", Value::Array(events));
+                groups.push(Value::Object(m));
+            }
+            root.insert("groups", Value::Array(groups));
+
+            let mut jobs = Vec::with_capacity(self.jobs.len());
+            for j in &self.jobs {
+                let mut m = Map::new();
+                m.insert("id", Value::Num(j.id as f64));
+                m.insert("kind", Value::Str(j.kind.clone()));
+                m.insert("backend", Value::Str(j.backend.clone()));
+                m.insert("queue_depth", Value::Num(j.queue_depth as f64));
+                m.insert(
+                    "advised",
+                    match j.advised {
+                        Some(b) => Value::Bool(b),
+                        None => Value::Null,
+                    },
+                );
+                m.insert("est_ns", Value::Num(j.est_ns));
+                m.insert("est_nj", Value::Num(j.est_nj));
+                m.insert("actual_ns", Value::Num(j.actual_ns));
+                m.insert("actual_nj", Value::Num(j.actual_nj));
+                m.insert("commands", Value::Num(j.commands as f64));
+                m.insert("group", Value::Num(j.group as f64));
+                m.insert(
+                    "phases",
+                    match &j.phases {
+                        Some(p) => {
+                            let mut x = Map::new();
+                            x.insert("submit", Value::Num(p.submit as f64));
+                            x.insert("batch_start", Value::Num(p.batch_start as f64));
+                            x.insert("exec_start", Value::Num(p.exec_start as f64));
+                            x.insert("exec_end", Value::Num(p.exec_end as f64));
+                            x.insert("drain_end", Value::Num(p.drain_end as f64));
+                            Value::Object(x)
+                        }
+                        None => Value::Null,
+                    },
+                );
+                jobs.push(Value::Object(m));
+            }
+            root.insert("jobs", Value::Array(jobs));
+
+            root.insert("traceEvents", Value::Array(self.to_chrome_events()));
+            Value::Object(root)
+        }
+
+        /// Derives the Chrome Trace Event array: per-group process
+        /// metadata, per-lane thread metadata, then `ph:"X"` slices and
+        /// `ph:"C"` counters with microsecond timestamps.
+        fn to_chrome_events(&self) -> Vec<Value> {
+            let mut out = Vec::new();
+            for (gi, g) in self.groups.iter().enumerate() {
+                let pid = gi as u64 + 1;
+                out.push(chrome_meta(pid, None, "process_name", &g.name));
+                let lanes = g.lanes();
+                let tid_of = |lane: Lane| -> u64 {
+                    lanes.iter().position(|&l| l == lane).unwrap_or(0) as u64 + 1
+                };
+                for &lane in &lanes {
+                    out.push(chrome_meta(
+                        pid,
+                        Some(tid_of(lane)),
+                        "thread_name",
+                        &lane.label(),
+                    ));
+                }
+                let us = |cycles: u64| cycles as f64 * g.ns_per_cycle / 1000.0;
+                for e in &g.events {
+                    let mut m = Map::new();
+                    m.insert("name", Value::Str(e.name.to_string()));
+                    m.insert("pid", Value::Num(pid as f64));
+                    m.insert("tid", Value::Num(tid_of(e.lane) as f64));
+                    m.insert("ts", Value::Num(us(e.start)));
+                    if let Some(value) = e.value {
+                        m.insert("ph", Value::Str("C".to_string()));
+                        let mut args = Map::new();
+                        args.insert(&*e.name, Value::Num(value as f64));
+                        m.insert("args", Value::Object(args));
+                    } else {
+                        m.insert("ph", Value::Str("X".to_string()));
+                        m.insert("dur", Value::Num(us(e.end) - us(e.start)));
+                        if let Some(job) = e.job {
+                            let mut args = Map::new();
+                            args.insert("job", Value::Num(job as f64));
+                            m.insert("args", Value::Object(args));
+                        }
+                    }
+                    out.push(Value::Object(m));
+                }
+            }
+            out
+        }
+    }
+
+    fn chrome_meta(pid: u64, tid: Option<u64>, what: &str, name: &str) -> Value {
+        let mut m = Map::new();
+        m.insert("name", Value::Str(what.to_string()));
+        m.insert("ph", Value::Str("M".to_string()));
+        m.insert("pid", Value::Num(pid as f64));
+        if let Some(tid) = tid {
+            m.insert("tid", Value::Num(tid as f64));
+        }
+        let mut args = Map::new();
+        args.insert("name", Value::Str(name.to_string()));
+        m.insert("args", Value::Object(args));
+        Value::Object(m)
+    }
 
     fn sample_profile() -> Profile {
         let mut sink = ProfileSink::new();
@@ -506,6 +710,79 @@ mod tests {
         p
     }
 
+    /// A profile that reaches every branch of the export: text needing
+    /// escapes (in meta keys and values, group and event names, and a
+    /// counter name that becomes a Chrome `args` key), integers past
+    /// 2^53, fractional clocks, counters, slices with and without a
+    /// job, a group with no events, and jobs with `advised` `false` and
+    /// unknown and with and without phases.
+    fn awkward_profile() -> Profile {
+        const HARD: &str = "q\"b\\n\nc\u{1}é→😀";
+        let big = (1u64 << 60) + 7;
+        let mut sink = ProfileSink::new();
+        sink.slice(
+            Lane::Bank(3),
+            format!("aap{HARD}"),
+            big,
+            big + 1001,
+            Some(big + 3),
+        );
+        sink.slice(Lane::Bank(3), "ap", 7, 9, None);
+        sink.slice(Lane::Channel(0), "rd", 5, 5, Some(4));
+        sink.slice(Lane::Jobs, "execute", 1, 8, Some(0));
+        sink.slice(Lane::Vault(2), "scan", 3, 11, None);
+        sink.slice(Lane::Rank(1), "ref", 2, 30, None);
+        sink.counter(Lane::Queue, format!("depth{HARD}"), 4, u64::MAX);
+        sink.counter(Lane::Queue, "depth", 6, 3);
+        let mut p = Profile::new()
+            .with_meta(format!("key{HARD}"), format!("value{HARD}"))
+            .with_meta("experiment", "unit");
+        p.add_group(format!("ambit{HARD}"), 1.0 / 3.0, sink);
+        p.add_group("idle", 0.625, ProfileSink::new());
+        let job = |id: u64, advised: Option<bool>, phases: Option<JobPhases>| JobRecord {
+            id,
+            kind: format!("bitwise{HARD}"),
+            backend: "ambit".into(),
+            queue_depth: u32::MAX,
+            advised,
+            est_ns: 0.1,
+            est_nj: 1e-9,
+            actual_ns: 12.5,
+            actual_nj: 1.0 / 7.0,
+            commands: big,
+            group: 3,
+            phases,
+        };
+        p.add_jobs([
+            job(big, Some(false), None),
+            job(0, None, None),
+            job(
+                1,
+                Some(true),
+                Some(JobPhases {
+                    submit: 0,
+                    batch_start: 4,
+                    exec_start: 50,
+                    exec_end: big,
+                    drain_end: big + 9,
+                }),
+            ),
+        ]);
+        p
+    }
+
+    #[test]
+    fn streamed_export_matches_the_tree_oracle_byte_for_byte() {
+        for p in [awkward_profile(), Profile::new(), sample_profile()] {
+            let tree = p.to_value();
+            assert_eq!(p.to_json_string(), serde_json::to_string(&tree).unwrap());
+            assert_eq!(
+                p.to_json_string_pretty(),
+                serde_json::to_string_pretty(&tree).unwrap()
+            );
+        }
+    }
+
     #[test]
     fn json_roundtrip_is_exact_and_deterministic() {
         let p = sample_profile();
@@ -523,7 +800,7 @@ mod tests {
     #[test]
     fn chrome_events_cover_groups_lanes_and_slices() {
         let p = sample_profile();
-        let value = p.to_value();
+        let value: Value = serde_json::from_str(&p.to_json_string()).unwrap();
         let root = match &value {
             Value::Object(m) => m,
             _ => unreachable!(),
@@ -578,7 +855,7 @@ mod tests {
     /// `channel/0`, `bank/0`, `bank/1`; job 1 carries phases.
     #[test]
     fn every_schema_rule_rejects_its_violation() {
-        let good = sample_profile().to_value();
+        let good: Value = serde_json::from_str(&sample_profile().to_json_string()).unwrap();
         let rules: [Violation; 13] = [
             ("format tag", |v| {
                 v["format"] = Value::Str("PIMPROF99".into())
@@ -640,7 +917,7 @@ mod tests {
     /// and a queue depth or batch size past `u32::MAX` (truncated).
     #[test]
     fn non_integer_and_out_of_range_members_are_rejected() {
-        let good = sample_profile().to_value();
+        let good: Value = serde_json::from_str(&sample_profile().to_json_string()).unwrap();
         let past_u32 = Value::Num((1u64 << 32) as f64);
         let mut bad = Vec::new();
         let mut value = good.clone();
@@ -677,12 +954,12 @@ mod tests {
         // Events out of canonical order are rejected.
         let mut bad = sample_profile();
         bad.groups[0].events.reverse();
-        assert!(Profile::from_value(&bad.to_value()).is_err());
+        assert!(Profile::from_json_str(&bad.to_json_string()).is_err());
         // Non-monotonic phases are rejected.
         let mut bad = sample_profile();
         if let Some(p) = &mut bad.jobs[1].phases {
             p.exec_end = 0;
         }
-        assert!(Profile::from_value(&bad.to_value()).is_err());
+        assert!(Profile::from_json_str(&bad.to_json_string()).is_err());
     }
 }
